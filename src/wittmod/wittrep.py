@@ -45,6 +45,14 @@ def _acc(out: FPMVector, key: Cell, val: Scalar) -> None:
         out[key] = s
 
 
+def _operators(n: int, A: int, mode: str) -> List[Tuple[MultiIndex, int]]:
+    """The monomial operators t^alpha d_j with |alpha| <= A, alpha in the
+    order of `exponents_within` and j = 1..n within each alpha."""
+    return [(alpha, j)
+            for alpha in exponents_within(n, A, mode)
+            for j in range(1, n + 1)]
+
+
 def _subsets(n: int, k: int) -> List[Tuple[int, ...]]:
     return list(itertools.combinations(range(1, n + 1), k))
 
@@ -254,18 +262,25 @@ class WindowedSubspace:
 
 
 def submodule_closure(F: FPModule, seeds: Sequence[FPMVector],
-                      D: int, A: int) -> WindowedSubspace:
+                      D: int, A: int,
+                      generators: Sequence[FPMVector] = ()) -> WindowedSubspace:
     """Smallest window-D subspace containing the seeds and closed under
     v -> truncate_D(t^alpha d_j v) for all |alpha| <= A.
 
     Fixed-point worklist over exact ranks; operators are swept in
     increasing |alpha| order and the loop exits as soon as the window
     saturates, so the result is deterministic.
+
+    `generators` are window vectors already known to generate the full
+    window.  The closure of a set is the smallest closed subspace containing
+    it, so a span that contains a generator g also contains the closure of
+    g, the full window: the loop stops there and returns the identity
+    echelon on the window, the unique reduced form a run to completion
+    reaches.  A closure that never reaches a generator is unaffected.
     """
-    full = len(F.window_basis(D))
-    ops = [(alpha, j)
-           for alpha in exponents_within(F.n, A, F.mode)
-           for j in range(1, F.n + 1)]
+    window = F.window_basis(D)
+    full = len(window)
+    ops = _operators(F.n, A, F.mode)
     ech = Echelon()
     work: List[FPMVector] = []
     for s in seeds:
@@ -273,16 +288,24 @@ def submodule_closure(F: FPModule, seeds: Sequence[FPMVector],
             raise ValueError("seed outside window")
         if ech.add(s):
             work.append(dict(s))
+
+    def saturated() -> bool:
+        return ech.dim >= full or any(ech.contains(g) for g in generators)
+
+    done = saturated()
     qi = 0
-    while qi < len(work) and ech.dim < full:
+    while not done and qi < len(work):
         v = work[qi]
         qi += 1
         for alpha, j in ops:
             img = F.truncate(F.act(alpha, j, v), D)
             if img and ech.add(img):
                 work.append(img)
-                if ech.dim >= full:
+                done = saturated()
+                if done:
                     break
+    if done:
+        ech.rows = {c: {c: ONE} for c in window}
     return WindowedSubspace(F, D, ech)
 
 
@@ -335,9 +358,7 @@ def ltilde_window(P: WeylModule, r: int, D: int, A: int) -> WindowedSubspace:
         raise ValueError("wedge degree out of range")
     F_r = FPModule(P, exterior_power(n, r))
     cols = F_r.window_basis(D)
-    ops = [(alpha, j)
-           for alpha in exponents_within(n, A, P.mode)
-           for j in range(1, n + 1)]
+    ops = _operators(n, A, P.mode)
     deep: Dict[int, WindowedSubspace] = {}
     rows: Dict[Tuple[int, Cell], Dict[int, Scalar]] = {}
     for oi, (alpha, j) in enumerate(ops):
@@ -364,14 +385,13 @@ def interior_invariant(sub: WindowedSubspace, bound: int = 3) -> bool:
     F, D = sub.F, sub.D
     rows = sub.basis()
     levels = [max(F.level(c) for c in row) for row in rows]
-    for alpha in exponents_within(F.n, bound, F.mode):
-        for j in range(1, F.n + 1):
-            rb = max(0, F.P.op_raise_bound(alpha, j))
-            for row, lvl in zip(rows, levels):
-                if lvl + rb > D:
-                    continue
-                if not sub.contains(F.act(alpha, j, row)):
-                    return False
+    for alpha, j in _operators(F.n, bound, F.mode):
+        rb = max(0, F.P.op_raise_bound(alpha, j))
+        for row, lvl in zip(rows, levels):
+            if lvl + rb > D:
+                continue
+            if not sub.contains(F.act(alpha, j, row)):
+                return False
     return True
 
 
@@ -496,6 +516,9 @@ def weight_support(P: WeylModule, M: GlModule, D: int) -> Set[Tuple[Scalar, ...]
 
 def _floor_const(x: Scalar) -> int:
     fr = x.constant_part()
+    if fr is None:
+        raise ValueError("weight %s has no constant part: its denominator"
+                         " vanishes at parameters = 0" % x)
     return fr.numerator // fr.denominator
 
 
@@ -552,8 +575,15 @@ def _saturation_report(F: FPModule, D: int, A: int,
                        details: List[str]) -> IrreducibilityReport:
     full = len(F.window_basis(D))
     seeds = saturation_seeds(F)
+    if not seeds:
+        details.append("no window cell lies at level <= 1, so there is no"
+                       " seed to close")
+        return IrreducibilityReport("not certified", False, "saturation",
+                                    details)
+    # a seed whose closure reaches a certified seed generates the window too
+    certified: List[FPMVector] = []
     for seed in seeds:
-        sub = submodule_closure(F, [seed], D, A)
+        sub = submodule_closure(F, [seed], D, A, generators=certified)
         if sub.dim < full:
             cell = next(iter(seed))
             details.append(
@@ -561,6 +591,7 @@ def _saturation_report(F: FPModule, D: int, A: int,
                 % (F.label(cell), sub.dim, full))
             return IrreducibilityReport("not certified", False,
                                         "saturation", details)
+        certified.append(seed)
     details.append("all %d level-<=1 seeds generate the full %d-dimensional"
                    " window" % (len(seeds), full))
     return IrreducibilityReport(
@@ -574,9 +605,7 @@ def _quotient_trivial(P: WeylModule, D: int, A: int,
     image subspace (computed at a window deep enough to hold the images)."""
     n = P.n
     F = FPModule(P, exterior_power(n, n))
-    ops = [(alpha, j)
-           for alpha in exponents_within(n, A, P.mode)
-           for j in range(1, n + 1)]
+    ops = _operators(n, A, P.mode)
     maxraise = max(max(0, P.op_raise_bound(a, j)) for a, j in ops)
     lw = l_window(P, n, D + maxraise)
     for cell in F.window_basis(D):
@@ -641,11 +670,11 @@ def irreducibility_report(P: WeylModule, M: GlModule, D: int,
                                     "top-degree", details)
     lw = l_window(P, r, D)
     full = len(F.window_basis(D))
-    ok = 0 < lw.dim < full and interior_invariant(lw)
+    invariant = interior_invariant(lw)
+    ok = 0 < lw.dim < full and invariant
     details.append("image subspace: dimension %d of %d, nonzero=%s,"
                    " proper=%s, interior-invariant=%s"
-                   % (lw.dim, full, lw.dim > 0, lw.dim < full,
-                      interior_invariant(lw)))
+                   % (lw.dim, full, lw.dim > 0, lw.dim < full, invariant))
     return IrreducibilityReport("reducible", ok, "exterior-witness", details)
 
 
@@ -656,9 +685,7 @@ def irreducibility_report(P: WeylModule, M: GlModule, D: int,
 def check_action_axiom(F: FPModule, bound: int, D: int) -> Tuple[bool, int, str]:
     """[x, y] v = x(yv) - y(xv) for all monomial pairs with |alpha| <= bound
     over the window basis.  Returns (ok, pairs checked, failure note)."""
-    ops = [(alpha, j)
-           for alpha in exponents_within(F.n, bound, F.mode)
-           for j in range(1, F.n + 1)]
+    ops = _operators(F.n, bound, F.mode)
     cells = F.window_basis(D)
     checked = 0
     for ai in range(len(ops)):
@@ -690,17 +717,16 @@ def check_chain_map(P: WeylModule, bound: int, D: int) -> Tuple[bool, int, str]:
         F_k = FPModule(P, exterior_power(n, k))
         F_k1 = FPModule(P, exterior_power(n, k + 1))
         cells = F_k.window_basis(D)
-        for alpha in exponents_within(n, bound, P.mode):
-            for j in range(1, n + 1):
-                for cell in cells:
-                    v = {cell: ONE}
-                    lhs = pi_map(P, k, F_k.act(alpha, j, v))
-                    rhs = F_k1.act(alpha, j, pi_map(P, k, v))
-                    checked += 1
-                    if lhs != rhs:
-                        return (False, checked,
-                                "pi_%d vs t^%s d_%d on %s"
-                                % (k, alpha, j, F_k.label(cell)))
+        for alpha, j in _operators(n, bound, P.mode):
+            for cell in cells:
+                v = {cell: ONE}
+                lhs = pi_map(P, k, F_k.act(alpha, j, v))
+                rhs = F_k1.act(alpha, j, pi_map(P, k, v))
+                checked += 1
+                if lhs != rhs:
+                    return (False, checked,
+                            "pi_%d vs t^%s d_%d on %s"
+                            % (k, alpha, j, F_k.label(cell)))
         if k + 1 <= n - 1:
             for cell in cells:
                 checked += 1

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from wittmod.cli import main
 from wittmod.exactnum import ONE, Scalar, vec_sub, vec_clean
 from wittmod.glmod import (
     exterior_power, natural_module, scalar_module, sym_power, tensor_module,
@@ -11,10 +12,11 @@ from wittmod.glmod import (
 from wittmod.liealg import WittElement
 from wittmod.weylmod import alaurent, apoly, laurent_quot, twisted_laurent, whittaker
 from wittmod.wittrep import (
-    FPModule, check_action_axiom, check_chain_map, complex_homology,
-    fingerprint, interior_invariant, irreducibility_report, kernel_window,
-    l_window, ltilde_window, pi_map, saturation_seeds, submodule_closure,
-    torsion_expected, torsion_matches, torsion_operator, weight_support,
+    FPModule, _saturation_report, check_action_axiom, check_chain_map,
+    complex_homology, fingerprint, interior_invariant, irreducibility_report,
+    kernel_window, l_window, ltilde_window, pi_map, saturation_seeds,
+    submodule_closure, torsion_expected, torsion_matches, torsion_operator,
+    weight_support,
 )
 
 
@@ -252,6 +254,39 @@ def test_closure_monotone_idempotent():
     assert everything.is_full()
 
 
+def test_closure_stops_at_generator():
+    # t2 (x) 1 reaches t1 (x) 1, whose closure is the full window: the run
+    # stops there with the rows a run to completion ends with.
+    F = FPModule(apoly(2), scalar_module(2, Scalar.integer(0)))
+    seed, gen = {((0, 1), 0): ONE}, {((1, 0), 0): ONE}
+    act, calls = F.act, []
+
+    def counted(*args):
+        calls.append(args)
+        return act(*args)
+
+    F.act = counted
+    plain = submodule_closure(F, [seed], 4, 5)
+    plain_calls = len(calls)
+    calls.clear()
+    early = submodule_closure(F, [seed], 4, 5, generators=[gen])
+    # same_span compares the reduced echelon rows
+    assert plain.is_full() and early.same_span(plain)
+    assert 0 < len(calls) < plain_calls
+    # a seed that is itself a generator stops before any operator runs
+    calls.clear()
+    assert submodule_closure(F, [seed], 4, 5, generators=[seed]).is_full()
+    assert not calls
+
+
+def test_closure_unreached_generator_changes_nothing():
+    F = FPModule(apoly(2), scalar_module(2, Scalar.integer(0)))
+    const = {((0, 0), 0): ONE}
+    plain = submodule_closure(F, [const], 4, 5)
+    sub = submodule_closure(F, [const], 4, 5, generators=[{((1, 0), 0): ONE}])
+    assert sub.dim == 1 and sub.same_span(plain)
+
+
 def test_closure_rejects_seed_outside_window():
     F = FPModule(apoly(2), natural_module(2))
     with pytest.raises(ValueError, match="outside window"):
@@ -405,6 +440,41 @@ def test_report_saturation():
     assert rep.certified and rep.branch == "saturation"
 
 
+@pytest.mark.parametrize("P, M, D, A", [
+    (apoly(2), sym_power(2, 2), 2, 3),
+    (whittaker([L1, L2]), scalar_module(2, L1), 2, 2),
+    (apoly(2), scalar_module(2, Scalar.integer(0)), 2, 3),
+    (apoly(2), exterior_power(2, 1), 2, 3),
+])
+def test_saturation_certifies_iff_plain_closures_saturate(P, M, D, A):
+    # Plain per-seed closures are the reference.  Each seed's closure with
+    # the seeds certified before it as generators has the same rows, also
+    # for the seeds of Apoly (x) Ext(1) that fail after one that saturates.
+    F = FPModule(P, M)
+    certified = []
+    for seed in saturation_seeds(F):
+        plain = submodule_closure(F, [seed], D, A)
+        reuse = submodule_closure(F, [seed], D, A, generators=certified)
+        assert reuse.same_span(plain)
+        if plain.is_full():
+            certified.append(seed)
+    every = len(certified) == len(saturation_seeds(F))
+    rep = _saturation_report(F, D, A, [])
+    assert rep.certified == every and rep.branch == "saturation"
+    assert rep.verdict.startswith("consistent with irreducible") == every
+
+
+def test_saturation_without_seeds_is_not_certified():
+    # Quot(2)'s lowest cell t1^-1 t2^-1 has level 2, so no seed exists.
+    rep = irreducibility_report(laurent_quot(2), sym_power(2, 2), 2, 3)
+    assert (rep.verdict, rep.certified, rep.branch) == (
+        "not certified", False, "saturation")
+    assert rep.details == ["no window cell lies at level <= 1, so there is"
+                           " no seed to close"]
+    assert main(["irreducible", "--P", "Quot", "--M", "Sym(2)",
+                 "--window", "2", "--gen-bound", "3"]) == 1
+
+
 # ---------------------------------------------------------------------------
 # fingerprints
 # ---------------------------------------------------------------------------
@@ -426,3 +496,10 @@ def test_fingerprint_graded_fallback():
     assert f.kind == "graded"
     assert f.entries == (("level 0", 2), ("level 1", 4),
                          ("level 2", 6), ("level 3", 8))
+
+
+def test_fingerprint_rejects_weight_without_constant_part():
+    # 1/l1 has no value at l1 = 0, so its integer part is undefined.
+    with pytest.raises(ValueError, match=r"weight 1/\(l1\) has no constant"):
+        fingerprint(twisted_laurent([L1.inv(), L2]),
+                    scalar_module(2, Scalar.integer(0)), 2)
