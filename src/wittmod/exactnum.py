@@ -14,10 +14,9 @@ hashing are therefore structural.
 
 from __future__ import annotations
 
-import heapq
 from fractions import Fraction
 from math import gcd as _igcd
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 Mono = Tuple[Tuple[str, int], ...]
 Poly = Dict[Mono, int]
@@ -341,10 +340,6 @@ class Scalar:
         return Scalar(_pconst(p), _pconst(q))
 
     @staticmethod
-    def from_fraction(x: Fraction) -> "Scalar":
-        return Scalar(_pconst(x.numerator), _pconst(x.denominator), _reduced=True)
-
-    @staticmethod
     def param(name: str) -> "Scalar":
         if not name or not name[0].isalpha():
             raise ValueError("parameter name must start with a letter: %r" % name)
@@ -372,9 +367,6 @@ class Scalar:
         if d == 0:
             return None
         return Fraction(self.num.get((), 0), d)
-
-    def total_degree(self) -> int:
-        return _pdeg(self.num) + _pdeg(self.den)
 
     # -- arithmetic
 
@@ -496,46 +488,68 @@ ONE = _S_ONE
 Vec = Dict  # coordinate (any sortable hashable) -> Scalar
 
 
-def vec_add(u: Vec, v: Vec) -> Vec:
-    out = dict(u)
-    for c, x in v.items():
+def vec_axpy(out: Vec, terms: Iterable[Tuple[object, Scalar]],
+             a: Optional[Scalar] = None) -> Vec:
+    """out += a * terms in place; returns out.
+
+    `terms` is any iterable of (coordinate, value) pairs, so a caller that
+    remaps coordinates passes the pairs without building a dict.  a=None
+    means 1, and a = 1 costs no products.  Entries that cancel are dropped
+    and zero terms are never inserted.  Values need +, * and is_zero():
+    Scalars, or PolyElements with a=None.  This is the one sparse
+    accumulation loop of the package.
+    """
+    if a is not None and a.is_one():
+        a = None
+    for c, x in terms:
+        if a is not None:
+            x = a * x
         s = out.get(c)
-        s = x if s is None else s + x
-        if s.is_zero():
-            out.pop(c, None)
-        else:
-            out[c] = s
+        if s is not None:
+            x = s + x
+        if not x.is_zero():
+            out[c] = x
+        elif s is not None:
+            del out[c]
     return out
+
+
+def vec_add(u: Vec, v: Vec) -> Vec:
+    return vec_axpy(dict(u), v.items())
 
 
 def vec_scale(u: Vec, a: Scalar) -> Vec:
-    if a.is_zero():
-        return {}
-    return {c: a * x for c, x in u.items()}
+    return {} if a.is_zero() else vec_axpy({}, u.items(), a)
 
 
 def vec_sub(u: Vec, v: Vec) -> Vec:
-    out = dict(u)
-    for c, x in v.items():
-        s = out.get(c)
-        s = -x if s is None else s - x
-        if s.is_zero():
-            out.pop(c, None)
-        else:
-            out[c] = s
-    return out
+    return vec_axpy(dict(u), [(c, -x) for c, x in v.items()])
 
 
 def vec_clean(u: Vec) -> Vec:
     return {c: x for c, x in u.items() if not x.is_zero()}
 
 
+def _clear(v: Vec, lead, row: Vec) -> None:
+    """v -= v[lead] * row in place, for a monic row led by `lead`.
+
+    The lead entry is dropped rather than computed: 1 * v[lead] cancels it
+    exactly, so that product would be wasted.
+    """
+    x = v.pop(lead)
+    vec_axpy(v, [(c, y) for c, y in row.items() if c != lead], -x)
+
+
 class Echelon:
     """Incremental reduced row-echelon accumulator over sparse Scalar vectors.
 
     Coordinates may be any mutually sortable hashable values.  Rows are kept
-    monic, keyed by their leading (smallest) coordinate, and mutually reduced,
-    so two accumulators span the same subspace iff their row dicts are equal.
+    monic, keyed by their leading (smallest) coordinate, and mutually
+    reduced: no row has an entry at another row's lead.  So two accumulators
+    span the same subspace iff their row dicts are equal, and clearing a
+    vector's lead entries in one pass, each with the coefficient the vector
+    had there, leaves its unique residual (no row puts an entry back at a
+    lead).
     """
 
     def __init__(self):
@@ -547,32 +561,11 @@ class Echelon:
 
     def reduce(self, vec: Vec) -> Vec:
         """Fully reduce vec against the accumulated rows; returns the residual."""
-        v = {c: x for c, x in vec.items() if not x.is_zero()}
-        heap = list(v)
-        heapq.heapify(heap)
-        while heap:
-            c = heapq.heappop(heap)
-            x = v.get(c)
-            if x is None or x.is_zero():
-                v.pop(c, None)
-                continue
-            row = self.rows.get(c)
-            if row is None:
-                continue
-            del v[c]
-            for cc, y in row.items():
-                if cc == c:
-                    continue
-                s = v.get(cc)
-                prod = x * y
-                s = -prod if s is None else s - prod
-                if s.is_zero():
-                    v.pop(cc, None)
-                else:
-                    if cc not in v:
-                        heapq.heappush(heap, cc)
-                    v[cc] = s
-        return vec_clean(v)
+        v = vec_clean(vec)
+        rows = self.rows
+        for c in [c for c in v if c in rows]:
+            _clear(v, c, rows[c])
+        return v
 
     def contains(self, vec: Vec) -> bool:
         return not self.reduce(vec)
@@ -583,26 +576,13 @@ class Echelon:
         if not r:
             return False
         lead = min(r)
-        inv = r[lead].inv()
-        row = {c: inv * x for c, x in r.items()}
+        row = vec_scale(r, r[lead].inv())
         # keep earlier rows reduced against the new one
         for lc, old in list(self.rows.items()):
-            x = old.get(lead)
-            if x is None:
-                continue
-            new = dict(old)
-            del new[lead]
-            for cc, y in row.items():
-                if cc == lead:
-                    continue
-                s = new.get(cc)
-                prod = x * y
-                s = -prod if s is None else s - prod
-                if s.is_zero():
-                    new.pop(cc, None)
-                else:
-                    new[cc] = s
-            self.rows[lc] = new
+            if lead in old:
+                new = dict(old)
+                _clear(new, lead, row)
+                self.rows[lc] = new
         self.rows[lead] = row
         return True
 
@@ -669,13 +649,6 @@ class ExactMatrix:
                 m.rows[i][j] = x
         return m
 
-    @staticmethod
-    def identity(n: int) -> "ExactMatrix":
-        m = ExactMatrix(n, n)
-        for i in range(n):
-            m.rows[i][i] = _S_ONE
-        return m
-
     def entry(self, i: int, j: int) -> Scalar:
         return self.rows[i].get(j, _S_ZERO)
 
@@ -716,17 +689,8 @@ class ExactMatrix:
         assert self.ncols == other.nrows
         out = ExactMatrix(self.nrows, other.ncols)
         for i, row in enumerate(self.rows):
-            acc: Vec = {}
             for k, x in row.items():
-                for j, y in other.rows[k].items():
-                    s = acc.get(j)
-                    prod = x * y
-                    s = prod if s is None else s + prod
-                    if s.is_zero():
-                        acc.pop(j, None)
-                    else:
-                        acc[j] = s
-            out.rows[i] = acc
+                vec_axpy(out.rows[i], other.rows[k].items(), x)
         return out
 
     def apply(self, v: Sequence[Scalar]) -> List[Scalar]:
@@ -743,17 +707,7 @@ class ExactMatrix:
         """Apply to a sparse column vector {index: Scalar}."""
         acc: Vec = {}
         for j, xv in v.items():
-            for i, row in enumerate(self.rows):
-                x = row.get(j)
-                if x is None:
-                    continue
-                s = acc.get(i)
-                prod = x * xv
-                s = prod if s is None else s + prod
-                if s.is_zero():
-                    acc.pop(i, None)
-                else:
-                    acc[i] = s
+            vec_axpy(acc, self.column(j).items(), xv)
         return acc
 
     def column(self, j: int) -> Vec:
@@ -772,72 +726,34 @@ class ExactMatrix:
         return "\n".join(lines)
 
 
-def _rref(mat: ExactMatrix) -> Tuple[List[Vec], List[Tuple[int, int]]]:
-    """Reduced row echelon form; pivots chosen by smallest total degree.
-
-    Returns (rows, pivots) where pivots is a list of (col, row_index).
-    """
-    rows = [dict(r) for r in mat.rows]
-    pivoted: set = set()
-    pivots: List[Tuple[int, int]] = []
-    for col in range(mat.ncols):
-        best = None
-        for ri, row in enumerate(rows):
-            if ri in pivoted:
-                continue
-            x = row.get(col)
-            if x is None:
-                continue
-            d = x.total_degree()
-            if best is None or d < best[0]:
-                best = (d, ri)
-        if best is None:
-            continue
-        ri = best[1]
-        row = rows[ri]
-        inv = row[col].inv()
-        row = {c: inv * x for c, x in row.items()}
-        rows[ri] = row
-        for rj, other in enumerate(rows):
-            if rj == ri:
-                continue
-            x = other.get(col)
-            if x is None:
-                continue
-            new = dict(other)
-            del new[col]
-            for cc, y in row.items():
-                if cc == col:
-                    continue
-                s = new.get(cc)
-                prod = x * y
-                s = -prod if s is None else s - prod
-                if s.is_zero():
-                    new.pop(cc, None)
-                else:
-                    new[cc] = s
-            rows[rj] = new
-        pivoted.add(ri)
-        pivots.append((col, ri))
-    return rows, pivots
+def _echelon(mat: ExactMatrix) -> Echelon:
+    ech = Echelon()
+    for row in mat.rows:
+        ech.add(row)
+    return ech
 
 
 def rank(mat: ExactMatrix) -> int:
-    return len(_rref(mat)[1])
+    return _echelon(mat).dim
 
 
 def kernel_basis(mat: ExactMatrix) -> List[List[Scalar]]:
-    """Basis of the right null space, one vector per free column."""
-    rows, pivots = _rref(mat)
-    pivot_cols = {col: ri for col, ri in pivots}
+    """Basis of the right null space, one vector per free column.
+
+    The kernel is read off the reduced row-echelon form, an `Echelon` of the
+    matrix rows: the vector for a free column f has 1 at f, minus the f-entry
+    of each row at that row's pivot column, and 0 elsewhere.  The reduced
+    form is unique, so so is this basis.
+    """
+    rows = _echelon(mat).rows
     basis = []
     for free in range(mat.ncols):
-        if free in pivot_cols:
+        if free in rows:
             continue
         v = [_S_ZERO] * mat.ncols
         v[free] = _S_ONE
-        for col, ri in pivots:
-            x = rows[ri].get(free)
+        for col, row in rows.items():
+            x = row.get(free)
             if x is not None:
                 v[col] = -x
         basis.append(v)

@@ -10,9 +10,12 @@ E(i,j) acts as delta_ij * b/n, and tensor products.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from wittmod.exactnum import ExactMatrix, Echelon, ONE, Scalar, ZERO, kernel_basis
+from wittmod.exactnum import (
+    ExactMatrix, Echelon, ONE, Scalar, ZERO, kernel_basis, vec_axpy,
+)
 
 Weight = Tuple[Scalar, ...]
 
@@ -86,8 +89,9 @@ def natural_module(n: int) -> GlModule:
     return GlModule(n, ["e%d" % (i + 1) for i in range(n)], action, name="Nat")
 
 
-def _insertion_sign(seq: List[int]) -> Optional[Tuple[int, Tuple[int, ...]]]:
-    """Sort seq, returning (sign, sorted tuple); None if there is a repeat."""
+def wedge_sort(seq: Sequence[int]) -> Optional[Tuple[int, Tuple[int, ...]]]:
+    """Normal form of the wedge of e_x for x in seq: (sign, sorted tuple),
+    or None when an index repeats and the wedge is zero."""
     s = list(seq)
     sign = 1
     for a in range(len(s)):
@@ -115,7 +119,7 @@ def exterior_power(n: int, k: int) -> GlModule:
                 if j not in s:
                     continue
                 replaced = [i if x == j else x for x in s]
-                res = _insertion_sign(replaced)
+                res = wedge_sort(replaced)
                 if res is None:
                     continue
                 sign, sorted_s = res
@@ -186,10 +190,9 @@ def tensor_module(m1: GlModule, m2: GlModule) -> GlModule:
                     for s in range(d2):
                         m.set_entry(r1 * d2 + s, c1 * d2 + s, x)
             for r2, row in enumerate(a2.rows):
-                for c2, x in row.items():
-                    for s in range(d1):
-                        prev = m.entry(s * d2 + r2, s * d2 + c2)
-                        m.set_entry(s * d2 + r2, s * d2 + c2, prev + x)
+                for s in range(d1):
+                    vec_axpy(m.rows[s * d2 + r2],
+                             [(s * d2 + c2, x) for c2, x in row.items()])
             action[(i, j)] = m
     return GlModule(n, labels, action, name="%s*%s" % (m1.name, m2.name))
 
@@ -292,12 +295,8 @@ def is_fundamental_exterior(m: GlModule) -> Optional[int]:
     seed = {i: x for i, x in enumerate(vec) if not x.is_zero()}
     if cyclic_span(m, [seed]) != m.dim:
         return None
-    one, zero = ONE, ZERO
     for k in range(m.n + 1):
-        target = tuple([one] * k + [zero] * (m.n - k))
-        binom = 1
-        for j in range(k):
-            binom = binom * (m.n - j) // (j + 1)
-        if weight == target and m.dim == binom:
+        target = tuple([ONE] * k + [ZERO] * (m.n - k))
+        if weight == target and m.dim == math.comb(m.n, k):
             return k
     return None

@@ -11,12 +11,14 @@ tau(f d_j) = f d_j + sum_i d_i(f) E(i,j); it is a Lie homomorphism.
 
 from __future__ import annotations
 
+import itertools
+import math
 from typing import Dict, List, Optional, Tuple
 
-from wittmod.exactnum import ONE, Scalar
+from wittmod.exactnum import ONE, Scalar, vec_axpy
 from wittmod.polyalg import (
-    LAURENT, PLUS, MultiIndex, PolyElement, midx_add, midx_sub,
-    render_monomial, render_poly, unit_index,
+    PLUS, MultiIndex, PolyElement, midx_add, midx_sub, render_monomial,
+    unit_index,
 )
 
 
@@ -153,15 +155,6 @@ def witt_bracket(x: WittElement, y: WittElement) -> WittElement:
 # Weyl algebra with normal ordering
 # ---------------------------------------------------------------------------
 
-def _binom(n: int, k: int) -> int:
-    if k < 0 or k > n:
-        return 0
-    out = 1
-    for j in range(k):
-        out = out * (n - j) // (j + 1)
-    return out
-
-
 def _falling(c: int, k: int) -> int:
     out = 1
     for j in range(k):
@@ -209,23 +202,14 @@ class WeylElement:
 
     @staticmethod
     def from_witt(x: WittElement) -> "WeylElement":
-        terms: Dict[Tuple[MultiIndex, MultiIndex], Scalar] = {}
-        for alpha, j, c in x.monomials():
-            key = (alpha, unit_index(x.n, j))
-            terms[key] = terms.get(key, Scalar.integer(0)) + c
+        terms = vec_axpy({}, [((alpha, unit_index(x.n, j)), c)
+                              for alpha, j, c in x.monomials()])
         return WeylElement(x.n, x.mode, terms)
 
     def __add__(self, other: "WeylElement") -> "WeylElement":
         self._check(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = s
-        return WeylElement(self.n, self.mode, out)
+        return WeylElement(self.n, self.mode,
+                           vec_axpy(dict(self.terms), other.terms.items()))
 
     def __neg__(self) -> "WeylElement":
         return WeylElement(self.n, self.mode,
@@ -248,37 +232,16 @@ class WeylElement:
         out: Dict[Tuple[MultiIndex, MultiIndex], Scalar] = {}
         for (a, b), c1 in self.terms.items():
             for (cc, d), c2 in other.terms.items():
-                base = c1 * c2
-                # iterate k <= b componentwise
-                ranges = [range(0, bi + 1) for bi in b]
-                idx = [0] * self.n
-                while True:
-                    k = tuple(idx)
+                terms = []
+                for k in itertools.product(*(range(bi + 1) for bi in b)):
                     coef = 1
                     for i in range(self.n):
-                        coef *= _binom(b[i], k[i]) * _falling(cc[i], k[i])
-                        if coef == 0:
-                            break
+                        coef *= math.comb(b[i], k[i]) * _falling(cc[i], k[i])
                     if coef:
-                        key = (midx_sub(midx_add(a, cc), k),
-                               midx_sub(midx_add(b, d), k))
-                        s = out.get(key)
-                        add = base * Scalar.integer(coef)
-                        s = add if s is None else s + add
-                        if s.is_zero():
-                            out.pop(key, None)
-                        else:
-                            out[key] = s
-                    # advance odometer
-                    pos = 0
-                    while pos < self.n:
-                        idx[pos] += 1
-                        if idx[pos] < len(ranges[pos]):
-                            break
-                        idx[pos] = 0
-                        pos += 1
-                    else:
-                        break
+                        terms.append(((midx_sub(midx_add(a, cc), k),
+                                       midx_sub(midx_add(b, d), k)),
+                                      Scalar.integer(coef)))
+                vec_axpy(out, terms, c1 * c2)
         return WeylElement(self.n, self.mode, out)
 
     def commutator(self, other: "WeylElement") -> "WeylElement":
@@ -331,10 +294,6 @@ class WeylElement:
         return "WeylElement(%s)" % self
 
 
-def weyl_mul(x: WeylElement, y: WeylElement) -> WeylElement:
-    return x * y
-
-
 # ---------------------------------------------------------------------------
 # extension by gl_n-valued coefficients and the tau embedding
 # ---------------------------------------------------------------------------
@@ -368,15 +327,8 @@ class ToroidalElement:
 
     def __add__(self, other: "ToroidalElement") -> "ToroidalElement":
         self._check(other)
-        mat = dict(self.matrix)
-        for k, g in other.matrix.items():
-            s = mat.get(k)
-            s = g if s is None else s + g
-            if s.is_zero():
-                mat.pop(k, None)
-            else:
-                mat[k] = s
-        return ToroidalElement(self.vector + other.vector, mat)
+        return ToroidalElement(self.vector + other.vector,
+                               vec_axpy(dict(self.matrix), other.matrix.items()))
 
     def __neg__(self) -> "ToroidalElement":
         return ToroidalElement(-self.vector,
@@ -423,52 +375,23 @@ def toroidal_bracket(x: ToroidalElement, y: ToroidalElement) -> ToroidalElement:
     """[d1 + sum f E, d2 + sum g E] with
     [d1, d2] + d1(g) E - d2(f) E + f g [E, E] expanded bilinearly."""
     x._check(y)
-    n, mode = x.n, x.mode
     vec = witt_bracket(x.vector, y.vector)
-    mat: Dict[Tuple[int, int], PolyElement] = {}
-
-    def acc(i: int, j: int, g: PolyElement) -> None:
-        if g.is_zero():
-            return
-        s = mat.get((i, j))
-        s = g if s is None else s + g
-        if s.is_zero():
-            mat.pop((i, j), None)
-        else:
-            mat[(i, j)] = s
-
-    for (k, l), g in y.matrix.items():
-        acc(k, l, x.vector.apply_to(g))
-    for (i, j), f in x.matrix.items():
-        acc(i, j, -y.vector.apply_to(f))
+    terms = [((k, l), x.vector.apply_to(g)) for (k, l), g in y.matrix.items()]
+    terms += [((i, j), -y.vector.apply_to(f)) for (i, j), f in x.matrix.items()]
     # [E(i,j), E(k,l)] = delta_jk E(i,l) - delta_li E(k,j)
     for (i, j), f in x.matrix.items():
         for (k, l), g in y.matrix.items():
             fg = f * g
-            if fg.is_zero():
-                continue
             if j == k:
-                acc(i, l, fg)
+                terms.append(((i, l), fg))
             if l == i:
-                acc(k, j, -fg)
-    return ToroidalElement(vec, mat)
+                terms.append(((k, j), -fg))
+    return ToroidalElement(vec, vec_axpy({}, terms))
 
 
 def shen_tau(x: WittElement) -> ToroidalElement:
     """tau(f d_j) = f d_j + sum_i d_i(f) E(i,j), extended linearly."""
-    mat: Dict[Tuple[int, int], PolyElement] = {}
-    for j in range(1, x.n + 1):
-        f = x.coeffs[j - 1]
-        if f.is_zero():
-            continue
-        for i in range(1, x.n + 1):
-            g = f.partial(i)
-            if g.is_zero():
-                continue
-            s = mat.get((i, j))
-            s = g if s is None else s + g
-            if s.is_zero():
-                mat.pop((i, j), None)
-            else:
-                mat[(i, j)] = s
+    mat = vec_axpy({}, [((i, j), x.coeffs[j - 1].partial(i))
+                        for j in range(1, x.n + 1)
+                        for i in range(1, x.n + 1)])
     return ToroidalElement(x, mat)

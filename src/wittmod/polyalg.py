@@ -9,9 +9,9 @@ deterministic.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
-from wittmod.exactnum import ONE, ZERO, Scalar
+from wittmod.exactnum import ONE, Scalar, vec_axpy
 
 MultiIndex = Tuple[int, ...]
 
@@ -99,15 +99,8 @@ class PolyElement:
 
     def __add__(self, other: "PolyElement") -> "PolyElement":
         self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(e, None)
-            else:
-                out[e] = s
-        return PolyElement(self.n, self.mode, out)
+        return PolyElement(self.n, self.mode,
+                           vec_axpy(dict(self.terms), other.terms.items()))
 
     def __neg__(self) -> "PolyElement":
         return PolyElement(self.n, self.mode,
@@ -120,15 +113,8 @@ class PolyElement:
         self._check(other)
         out: Dict[MultiIndex, Scalar] = {}
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = midx_add(e1, e2)
-                s = out.get(e)
-                prod = c1 * c2
-                s = prod if s is None else s + prod
-                if s.is_zero():
-                    out.pop(e, None)
-                else:
-                    out[e] = s
+            vec_axpy(out, [(midx_add(e1, e2), c2)
+                           for e2, c2 in other.terms.items()], c1)
         return PolyElement(self.n, self.mode, out)
 
     def scale(self, a: Scalar) -> "PolyElement":
@@ -161,15 +147,6 @@ class PolyElement:
 
     def sorted_terms(self) -> List[Tuple[MultiIndex, Scalar]]:
         return [(e, self.terms[e]) for e in sorted(self.terms)]
-
-    def total_degrees(self) -> List[int]:
-        return sorted({midx_total(e) for e in self.terms})
-
-    def coeff(self, e: MultiIndex) -> Scalar:
-        return self.terms.get(tuple(e), ZERO)
-
-    def as_laurent(self) -> "PolyElement":
-        return PolyElement(self.n, LAURENT, dict(self.terms))
 
     def _check(self, other: "PolyElement") -> None:
         if self.n != other.n or self.mode != other.mode:

@@ -16,11 +16,11 @@ Factor kinds:
 
 from __future__ import annotations
 
-import itertools
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+import math
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from wittmod.exactnum import (
-    Echelon, ONE, Scalar, ZERO, coordinate_block_intersection,
+    ONE, Scalar, coordinate_block_intersection, vec_axpy,
 )
 from wittmod.liealg import WeylElement, WittElement
 from wittmod.polyalg import LAURENT, PLUS, MultiIndex
@@ -30,14 +30,8 @@ PVector = Dict  # PIndex -> Scalar
 
 Term = Tuple[Scalar, int]
 
-
-def _binom(n: int, k: int) -> int:
-    if k < 0 or k > n:
-        return 0
-    out = 1
-    for j in range(k):
-        out = out * (n - j) // (j + 1)
-    return out
+# generator name -> the rank-1 factor method applying it to a basis index
+_FACTOR_ACTIONS = {"t": "act_t", "d": "act_d", "tinv": "act_t_inv"}
 
 
 class PolyFactor:
@@ -183,14 +177,14 @@ class WhittakerFactor(PolyFactor):
         # lam (x-1)^k
         out = []
         for j in range(k + 1):
-            c = _binom(k, j) * (-1 if (k - j) % 2 else 1)
+            c = math.comb(k, j) * (-1 if (k - j) % 2 else 1)
             out.append((self.lam * Scalar.integer(c), j))
         return out
 
     def act_d(self, k: int) -> List[Term]:
         # lam^-1 (x+1)^(k+1)
         inv = self.lam.inv()
-        return [(inv * Scalar.integer(_binom(k + 1, j)), j)
+        return [(inv * Scalar.integer(math.comb(k + 1, j)), j)
                 for j in range(k + 2)]
 
     def weight(self, k: int):
@@ -279,19 +273,12 @@ class WeylModule:
     # -- generator actions on sparse vectors
 
     def _act_factor(self, which: str, i: int, vec: PVector) -> PVector:
-        f = self.factors[i - 1]
-        fn = {"t": f.act_t, "d": f.act_d, "tinv": f.act_t_inv}[which]
+        fn = getattr(self.factors[i - 1], _FACTOR_ACTIONS[which])
         out: PVector = {}
         for idx, c in vec.items():
-            for coef, k2 in fn(idx[i - 1]):
-                idx2 = idx[:i - 1] + (k2,) + idx[i:]
-                s = out.get(idx2)
-                add = c * coef
-                s = add if s is None else s + add
-                if s.is_zero():
-                    out.pop(idx2, None)
-                else:
-                    out[idx2] = s
+            head, tail = idx[:i - 1], idx[i:]
+            vec_axpy(out, [(head + (k2,) + tail, coef)
+                           for coef, k2 in fn(idx[i - 1])], c)
         return out
 
     def act_generator(self, gen: Tuple[str, int], vec: PVector) -> PVector:
@@ -327,29 +314,13 @@ class WeylModule:
             for i, bi in enumerate(b, start=1):
                 for _ in range(bi):
                     cur = self._act_factor("d", i, cur)
-            cur = self.act_t_monomial(a, cur)
-            for idx, x in cur.items():
-                s = out.get(idx)
-                add = c * x
-                s = add if s is None else s + add
-                if s.is_zero():
-                    out.pop(idx, None)
-                else:
-                    out[idx] = s
+            vec_axpy(out, self.act_t_monomial(a, cur).items(), c)
         return out
 
     def act_witt(self, x: WittElement, vec: PVector) -> PVector:
         out: PVector = {}
         for alpha, j, c in x.monomials():
-            cur = self.act_witt_monomial(alpha, j, vec)
-            for idx, v in cur.items():
-                s = out.get(idx)
-                add = c * v
-                s = add if s is None else s + add
-                if s.is_zero():
-                    out.pop(idx, None)
-                else:
-                    out[idx] = s
+            vec_axpy(out, self.act_witt_monomial(alpha, j, vec).items(), c)
         return out
 
     # -- truncation bookkeeping
@@ -359,9 +330,6 @@ class WeylModule:
         t^(alpha - e_i) paired with it)."""
         t_part = sum(f.t_raise_bound(a) for f, a in zip(self.factors, alpha))
         return t_part + self.factors[j - 1].d_raise_bound()
-
-    def d_raise_max(self) -> int:
-        return max(f.d_raise_bound() for f in self.factors)
 
     def sum_partial_image_codim(self, D: int) -> int:
         """Codimension, inside the level <= D-1 window, of

@@ -23,26 +23,18 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from wittmod.exactnum import (
     Echelon, ExactMatrix, ONE, Scalar, coordinate_block_intersection,
-    kernel_basis, vec_add, vec_clean, vec_scale, vec_sub,
+    kernel_basis, vec_add, vec_axpy, vec_scale, vec_sub,
 )
 from wittmod.glmod import (
     GlModule, exterior_power, is_fundamental_exterior, is_irreducible,
+    wedge_sort,
 )
 from wittmod.liealg import WittElement, witt_bracket
-from wittmod.polyalg import LAURENT, PLUS, MultiIndex, exponents_within, unit_index
+from wittmod.polyalg import MultiIndex, exponents_within, unit_index
 from wittmod.weylmod import WeylModule
 
 Cell = Tuple  # (P basis index, M basis index)
 FPMVector = Dict  # Cell -> Scalar
-
-
-def _acc(out: FPMVector, key: Cell, val: Scalar) -> None:
-    s = out.get(key)
-    s = val if s is None else s + val
-    if s.is_zero():
-        out.pop(key, None)
-    else:
-        out[key] = s
 
 
 def _operators(n: int, A: int, mode: str) -> List[Tuple[MultiIndex, int]]:
@@ -101,9 +93,9 @@ class FPModule:
         if hit is not None:
             return hit
         pidx, midx = cell
-        out: FPMVector = {}
-        for p2, c in self.P.act_witt_monomial(alpha, j, {pidx: ONE}).items():
-            _acc(out, (p2, midx), c)
+        out: FPMVector = {
+            (p2, midx): c for p2, c in
+            self.P.act_witt_monomial(alpha, j, {pidx: ONE}).items()}
         for i in range(1, self.n + 1):
             a_i = alpha[i - 1]
             if a_i == 0:
@@ -115,24 +107,17 @@ class FPModule:
             col = self.M.act_column(i, j, midx)
             if not col:
                 continue
-            ai = Scalar.integer(a_i)
+            col = vec_scale(col, Scalar.integer(a_i))
             for p2, cp in tpart.items():
-                w = ai * cp
-                for m2, cm in col.items():
-                    _acc(out, (p2, m2), w * cm)
+                vec_axpy(out, [((p2, m2), cm) for m2, cm in col.items()], cp)
         self._cell_cache[key] = out
         return out
 
     def act(self, alpha: MultiIndex, j: int, vec: FPMVector) -> FPMVector:
+        alpha = tuple(alpha)
         out: FPMVector = {}
         for cell, c in vec.items():
-            img = self.act_cell(tuple(alpha), j, cell)
-            if c.is_one():
-                for k2, x in img.items():
-                    _acc(out, k2, x)
-            else:
-                for k2, x in img.items():
-                    _acc(out, k2, c * x)
+            vec_axpy(out, self.act_cell(alpha, j, cell).items(), c)
         return out
 
     def act_witt(self, x: WittElement, vec: FPMVector) -> FPMVector:
@@ -140,9 +125,7 @@ class FPModule:
             raise ValueError("operator arity mismatch")
         out: FPMVector = {}
         for alpha, j, c in x.monomials():
-            img = self.act(alpha, j, vec)
-            for k2, v in img.items():
-                _acc(out, k2, c * v)
+            vec_axpy(out, self.act(alpha, j, vec).items(), c)
         return out
 
     def weight_of(self, cell: Cell) -> Tuple[Scalar, ...]:
@@ -163,8 +146,9 @@ class FPModule:
 
 def pi_map(P: WeylModule, k: int, vec: FPMVector) -> FPMVector:
     """The map F(P, Ext(k)) -> F(P, Ext(k+1)):
-    p (x) e_S -> sum over l not in S of sign * (d_l p) (x) e_(S+l),
-    where sign counts the transpositions inserting l into S."""
+    p (x) e_S -> sum over l not in S of (d_l p) (x) (e_l ^ e_S), where
+    e_l ^ e_S = sign * e_(S+l) and sign counts the transpositions that move
+    l from the front into place."""
     n = P.n
     if not 0 <= k <= n - 1:
         raise ValueError("top degree")
@@ -174,13 +158,14 @@ def pi_map(P: WeylModule, k: int, vec: FPMVector) -> FPMVector:
     for (pidx, midx), c in vec.items():
         s = src[midx]
         for l in range(1, n + 1):
-            if l in s:
+            wedge = wedge_sort((l,) + s)
+            if wedge is None:
                 continue
-            sgn = -1 if sum(1 for x in s if x < l) % 2 else 1
-            coeff = c if sgn == 1 else -c
-            target = dst_index[tuple(sorted(s + (l,)))]
-            for p2, cp in P.act_generator(("d", l), {pidx: ONE}).items():
-                _acc(out, (p2, target), coeff * cp)
+            sgn, s_l = wedge
+            target = dst_index[s_l]
+            img = P.act_generator(("d", l), {pidx: ONE})
+            vec_axpy(out, [((p2, target), cp) for p2, cp in img.items()],
+                     c if sgn == 1 else -c)
     return out
 
 
@@ -213,10 +198,8 @@ def torsion_expected(F: FPModule, l: int, i: int, j: int,
         mvec = dict(w1) if l == i else {}
         mvec = vec_sub(mvec, F.M.act(l, i, w1))
         for p2, cp in tpart.items():
-            w = c * cp
-            for m2, cm in mvec.items():
-                _acc(out, (p2, m2), w * cm)
-    return vec_clean(out)
+            vec_axpy(out, [((p2, m2), cm) for m2, cm in mvec.items()], c * cp)
+    return out
 
 
 def torsion_matches(F: FPModule, l: int, i: int, j: int,
@@ -465,12 +448,13 @@ def _homology_graded(P: WeylModule, D: int) -> HomologyTable:
             for s, pidx in cells[k]:
                 img: Dict[Tuple, Scalar] = {}
                 for l in range(1, n + 1):
-                    if l in s:
+                    wedge = wedge_sort((l,) + s)
+                    if wedge is None:
                         continue
-                    sgn = -1 if sum(1 for x in s if x < l) % 2 else 1
-                    for p2, cp in P.act_generator(("d", l), {pidx: ONE}).items():
-                        _acc(img, (tuple(sorted(s + (l,))), p2),
-                             cp if sgn == 1 else -cp)
+                    sgn, s_l = wedge
+                    d_l = P.act_generator(("d", l), {pidx: ONE})
+                    vec_axpy(img, [((s_l, p2), cp if sgn == 1 else -cp)
+                                   for p2, cp in d_l.items()])
                 if img:
                     ech.add(img)
             ranks[k] = ech.dim
@@ -701,7 +685,7 @@ def check_action_axiom(F: FPModule, bound: int, D: int) -> Tuple[bool, int, str]
                 rhs = vec_sub(F.act(xa, xj, F.act(ya, yj, v)),
                               F.act(ya, yj, F.act(xa, xj, v)))
                 checked += 1
-                if lhs != vec_clean(rhs):
+                if lhs != rhs:
                     return (False, checked,
                             "pair t^%s d_%d, t^%s d_%d on %s"
                             % (xa, xj, ya, yj, F.label(cell)))

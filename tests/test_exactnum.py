@@ -5,6 +5,7 @@ import pytest
 
 from wittmod.exactnum import (
     ExactMatrix, Scalar, Echelon, in_span, kernel_basis, rank, span_dim,
+    vec_axpy,
 )
 
 
@@ -104,23 +105,44 @@ def test_rank_nullity_randomized():
             assert all(x.is_zero() for x in m.apply(v))
 
 
+def _to_sympy(sympy, x):
+    def conv(p):
+        return sum(c * sympy.prod([sympy.Symbol(n) ** e for n, e in mono])
+                   for mono, c in p.items())
+    return sympy.nsimplify(conv(x.num)) / sympy.nsimplify(conv(x.den))
+
+
+def _sympy_matrix(sympy, m):
+    sm = sympy.zeros(m.nrows, m.ncols)
+    for i in range(m.nrows):
+        for j in range(m.ncols):
+            sm[i, j] = _to_sympy(sympy, m.entry(i, j))
+    return sm
+
+
 def test_rank_matches_sympy_oracle():
     sympy = pytest.importorskip("sympy")
-    l1 = sympy.Symbol("l1")
     rng = random.Random(7)
     for _ in range(10):
         nr, nc = rng.randint(1, 5), rng.randint(1, 5)
         m = _random_matrix(rng, nr, nc, symbolic=True)
-        sm = sympy.zeros(nr, nc)
-        for i in range(nr):
-            for j in range(nc):
-                x = m.entry(i, j)
-                num = sum(c * sympy.prod([sympy.Symbol(n) ** e for n, e in mono])
-                          for mono, c in x.num.items())
-                den = sum(c * sympy.prod([sympy.Symbol(n) ** e for n, e in mono])
-                          for mono, c in x.den.items())
-                sm[i, j] = sympy.nsimplify(num) / sympy.nsimplify(den)
-        assert rank(m) == sm.rank()
+        assert rank(m) == _sympy_matrix(sympy, m).rank()
+
+
+def test_kernel_basis_matches_sympy_nullspace():
+    # both are the free-column basis read off the unique reduced row-echelon
+    # form, so they agree vector by vector, not just in span
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(20261018)
+    for _ in range(40):
+        nr, nc = rng.randint(1, 6), rng.randint(1, 6)
+        m = _random_matrix(rng, nr, nc, symbolic=True)
+        ker = kernel_basis(m)
+        want = _sympy_matrix(sympy, m).nullspace(simplify=True)
+        assert len(ker) == len(want)
+        for v, w in zip(ker, want):
+            assert all(sympy.cancel(_to_sympy(sympy, x) - y) == 0
+                       for x, y in zip(v, w))
 
 
 def test_gcd_reduction_matches_sympy_oracle():
@@ -160,6 +182,18 @@ def test_matrix_mul_apply():
     assert m.apply([S(1), S(2)]) == [S(2), L1]
     assert m.apply_sparse({0: S(1)}) == {1: L1}
     assert m.column(0) == {1: L1}
+
+
+def test_vec_axpy():
+    out = {0: S(1), 1: L1}
+    res = vec_axpy(out, {1: -L1, 2: S(3)}.items(), None)
+    assert res is out and out == {0: S(1), 2: S(3)}
+    assert vec_axpy(out, [(0, S(1)), (3, S(0))]) == {0: S(2), 2: S(3)}
+    # coordinates remapped on the fly, scaled by a
+    vec_axpy(out, ((c + 1, x) for c, x in {1: S(1), 2: L1}.items()), L2)
+    assert out == {0: S(2), 2: S(3) + L2, 3: L1 * L2}
+    vec_axpy(out, [(2, S(1)), (0, S(-2))], -L2 - S(3))
+    assert out == {0: S(2) * L2 + S(8), 3: L1 * L2}
 
 
 def test_span_dim():

@@ -6,7 +6,7 @@ import pytest
 from wittmod.exactnum import Scalar
 from wittmod.liealg import (
     ToroidalElement, WeylElement, WittElement, shen_tau, toroidal_bracket,
-    weyl_mul, witt_bracket,
+    witt_bracket,
 )
 from wittmod.polyalg import LAURENT, PLUS, PolyElement, exponents_within
 
