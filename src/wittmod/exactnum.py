@@ -265,6 +265,20 @@ def _prem_univ(a: Dict[int, Poly], b: Dict[int, Poly]) -> Dict[int, Poly]:
     return r
 
 
+def _pgcd_monomial(f: Poly, g: Poly) -> Poly:
+    """GCD of a one-term f = c*m with a nonzero g: the integer gcd of c and
+    the content of g, times each variable of m to its least exponent over
+    m and every term of g.  No Euclid loop."""
+    (m, c), = f.items()
+    exps = dict(m)
+    for mono in g:
+        if not exps:
+            break
+        d = dict(mono)
+        exps = {x: min(e, d[x]) for x, e in exps.items() if x in d}
+    return {tuple(exps.items()): _igcd(c, _icontent(g))}
+
+
 def _pgcd(f: Poly, g: Poly) -> Poly:
     """GCD in Z[params] including integer content, positive leading coeff."""
     if not f:
@@ -273,6 +287,8 @@ def _pgcd(f: Poly, g: Poly) -> Poly:
         return _ppos(f)
     if _is_const(f) or _is_const(g):
         return _pconst(_igcd(_icontent(f), _icontent(g)))
+    if len(f) == 1 or len(g) == 1:
+        return _pgcd_monomial(f, g) if len(f) == 1 else _pgcd_monomial(g, f)
     common = sorted(_pvars(f) & _pvars(g))
     if not common:
         return _pconst(_igcd(_icontent(f), _icontent(g)))
@@ -392,6 +408,11 @@ class Scalar:
         n1, d1, n2, d2 = self.num, self.den, other.num, other.den
         if not n1 or not n2:
             return _S_ZERO
+        # canonical form: a scalar is 1 exactly when num == den == 1
+        if d2 == _PONE and n2 == _PONE:
+            return self
+        if d1 == _PONE and n1 == _PONE:
+            return other
         if d1 == _PONE and d2 == _PONE:
             return Scalar(_pmul(n1, n2), dict(_PONE), _reduced=True)
         # cross-cancel before multiplying to limit growth

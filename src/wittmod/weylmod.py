@@ -6,6 +6,12 @@ indices, a nonnegative integer level, and (when it is a weight module) the
 eigenvalue of t d.  Module vectors are sparse dicts {index tuple: Scalar};
 all actions are exact, windows only bound basis enumeration.
 
+An operator t^a d_j on one basis index is a tensor product of one short
+word per factor; `WeylModule.act_index` reads those words from a table
+memoized per instance.  The generator-by-generator methods (`act_generator`,
+`act_t_monomial`, `act_witt_monomial`, ...) step through the factors
+instead, an independent route the tests compare against.
+
 Factor kinds:
   PolyFactor        C[t], basis t^k, k >= 0
   LaurentFactor     C[t, t^-1], basis t^k, k in Z
@@ -223,6 +229,8 @@ class WeylModule:
         self.graded = all(f.graded for f in factors)
         self.is_weight = all(f.is_weight for f in factors)
         self.kind = kind or "Tensor(%s)" % ",".join(f.kind for f in factors)
+        # per-factor word table of act_index, filled on demand by _word
+        self._words: Dict[Tuple[int, int, bool, int], List] = {}
 
     # -- basic structure
 
@@ -323,6 +331,47 @@ class WeylModule:
             vec_axpy(out, self.act_witt_monomial(alpha, j, vec).items(), c)
         return out
 
+    # -- basis-index actions through per-factor word tables
+
+    def _word(self, key: Tuple[int, int, bool, int]) -> List:
+        """The table entry for key = (pos, a, with_d, k): t^a, after d when
+        with_d, on t^k in factor `pos` (0-based), as [(k', coef)], built by
+        stepping that factor's own actions."""
+        pos, a, with_d, k = key
+        f = self.factors[pos]
+        cur: Dict[int, Scalar] = {k: ONE}
+        steps = [f.act_d] if with_d else []
+        steps += [f.act_t if a > 0 else f.act_t_inv] * abs(a)
+        for fn in steps:
+            nxt: Dict[int, Scalar] = {}
+            for k1, c in cur.items():
+                vec_axpy(nxt, [(k2, coef) for coef, k2 in fn(k1)], c)
+            cur = nxt
+        word = self._words[key] = list(cur.items())
+        return word
+
+    def act_index(self, idx: PIndex, alpha: MultiIndex,
+                  j: Optional[int] = None) -> PVector:
+        """t^alpha d_j on the basis vector idx (t^alpha alone when j is
+        None): the tensor product of one memoized word per factor.  Same
+        result as act_witt_monomial / act_t_monomial on {idx: 1}."""
+        if self.mode == PLUS and min(alpha) < 0:
+            raise ValueError("negative exponent %r in plus mode" % (alpha,))
+        words = self._words
+        terms = [((), ONE)]
+        for pos, (a, k) in enumerate(zip(alpha, idx)):
+            key = (pos, a, pos + 1 == j, k)
+            word = words.get(key)
+            if word is None:
+                word = self._word(key)
+            if not word:
+                return {}
+            # the seed and unit words hold the shared ONE: skip those products
+            terms = [(head + (k2,),
+                      c2 if c is ONE else c if c2 is ONE else c * c2)
+                     for head, c in terms for k2, c2 in word]
+        return dict(terms)
+
     # -- truncation bookkeeping
 
     def op_raise_bound(self, alpha: MultiIndex, j: int) -> int:
@@ -337,9 +386,10 @@ class WeylModule:
         if D < 1:
             raise ValueError("window must be at least 1")
         imgs = []
+        zero = (0,) * self.n
         for idx in self.window_basis(D):
             for k in range(1, self.n + 1):
-                w = self._act_factor("d", k, {idx: ONE})
+                w = self.act_index(idx, zero, k)
                 if w:
                     imgs.append(w)
         inner = self.window_basis(D - 1)

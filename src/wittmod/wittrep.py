@@ -95,13 +95,13 @@ class FPModule:
         pidx, midx = cell
         out: FPMVector = {
             (p2, midx): c for p2, c in
-            self.P.act_witt_monomial(alpha, j, {pidx: ONE}).items()}
+            self.P.act_index(pidx, alpha, j).items()}
         for i in range(1, self.n + 1):
             a_i = alpha[i - 1]
             if a_i == 0:
                 continue
             shifted = alpha[:i - 1] + (a_i - 1,) + alpha[i:]
-            tpart = self.P.act_t_monomial(shifted, {pidx: ONE})
+            tpart = self.P.act_index(pidx, shifted)
             if not tpart:
                 continue
             col = self.M.act_column(i, j, midx)
@@ -154,6 +154,7 @@ def pi_map(P: WeylModule, k: int, vec: FPMVector) -> FPMVector:
         raise ValueError("top degree")
     src = _subsets(n, k)
     dst_index = {s: a for a, s in enumerate(_subsets(n, k + 1))}
+    zero = (0,) * n
     out: FPMVector = {}
     for (pidx, midx), c in vec.items():
         s = src[midx]
@@ -163,7 +164,7 @@ def pi_map(P: WeylModule, k: int, vec: FPMVector) -> FPMVector:
                 continue
             sgn, s_l = wedge
             target = dst_index[s_l]
-            img = P.act_generator(("d", l), {pidx: ONE})
+            img = P.act_index(pidx, zero, l)
             vec_axpy(out, [((p2, target), cp) for p2, cp in img.items()],
                      c if sgn == 1 else -c)
     return out
@@ -191,7 +192,7 @@ def torsion_expected(F: FPModule, l: int, i: int, j: int,
     sum_k t^alpha p_k (x) (delta_li E(l,j) - E(l,i) E(l,j)) w_k."""
     out: FPMVector = {}
     for (pidx, midx), c in v.items():
-        tpart = F.P.act_t_monomial(alpha, {pidx: ONE})
+        tpart = F.P.act_index(pidx, alpha)
         if not tpart:
             continue
         w1 = F.M.act_column(l, j, midx)
@@ -418,6 +419,7 @@ def _homology_graded(P: WeylModule, D: int) -> HomologyTable:
                 deltas.add(tuple(p + e for p, e in zip(pidx, ind)))
     table: Dict[Tuple[int, Optional[int]], int] = {}
     excluded = 0
+    zero = (0,) * n
     for delta in sorted(deltas):
         cells: Dict[int, List[Tuple[Tuple[int, ...], Tuple[int, ...]]]] = {}
         ok = True
@@ -452,7 +454,7 @@ def _homology_graded(P: WeylModule, D: int) -> HomologyTable:
                     if wedge is None:
                         continue
                     sgn, s_l = wedge
-                    d_l = P.act_generator(("d", l), {pidx: ONE})
+                    d_l = P.act_index(pidx, zero, l)
                     vec_axpy(img, [((s_l, p2), cp if sgn == 1 else -cp)
                                    for p2, cp in d_l.items()])
                 if img:

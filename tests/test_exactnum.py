@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from wittmod.exactnum import (
-    ExactMatrix, Scalar, Echelon, in_span, kernel_basis, rank, span_dim,
-    vec_axpy,
+    ONE, ExactMatrix, Scalar, Echelon, _pgcd, in_span, kernel_basis, rank,
+    span_dim, vec_axpy,
 )
 
 
@@ -172,6 +172,54 @@ def test_gcd_reduction_matches_sympy_oracle():
         q = a / b
         diff = sympy.simplify(to_sympy(q) - to_sympy(a) / to_sympy(b))
         assert diff == 0
+
+
+def test_monomial_gcd_matches_sympy_oracle():
+    # _pgcd with a one-term operand takes the monomial path; sympy's gcd
+    # over Z (content included, positive sign) is the reference
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(4242)
+    names = ("l1", "l2", "l3")
+
+    def mono(allowed):
+        return tuple((x, e) for x in allowed
+                     for e in [rng.randint(0, 3)] if e)
+
+    def coeff():
+        return rng.choice([-1, 1]) * rng.randint(1, 12)
+
+    def poly(allowed, content=1):
+        f = {}
+        for _ in range(rng.randint(1, 4)):
+            f[mono(allowed)] = coeff() * content
+        return f
+
+    def to_sympy(f):
+        return sum(c * sympy.prod([sympy.Symbol(x) ** e for x, e in m])
+                   for m, c in f.items())
+
+    cases = []
+    for _ in range(60):
+        cases.append(({mono(names): coeff()}, poly(names)))
+        # variables disjoint from the monomial's
+        cases.append(({mono(names[:1]): coeff()}, poly(names[1:])))
+        # both operands monomial
+        cases.append(({mono(names): coeff()}, {mono(names): coeff()}))
+        # integer content in the other operand
+        cases.append(({mono(names): coeff()},
+                      poly(names, rng.choice([2, 3, 4, 6]))))
+    for m, f in cases:
+        for g in (_pgcd(m, f), _pgcd(f, m)):
+            assert len(g) == 1 and next(iter(g.values())) > 0
+            want = sympy.gcd(to_sympy(m), to_sympy(f))
+            assert sympy.expand(to_sympy(g) - want) == 0, (m, f, g)
+
+
+def test_unit_product_returns_other_operand():
+    x = (L1 + S(2)) / (L2 * L1 - S(3))
+    assert x * ONE is x
+    assert ONE * x is x
+    assert x * Scalar.rational(3, 3) is x
 
 
 def test_matrix_mul_apply():

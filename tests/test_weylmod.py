@@ -183,6 +183,46 @@ def test_t_d_freeness_whittaker():
     assert span_dim(imgs) == len(win)
 
 
+def test_act_index_matches_stepping_actions():
+    # the per-factor word tables against the generator-by-generator route,
+    # for every factor kind and two mixes, at n = 2 and 3
+    rng = random.Random(5150)
+    lam = Scalar.param("l1")
+    kinds = [PolyFactor, LaurentFactor, QuotFactor,
+             lambda: TwistedFactor(lam), lambda: TwistedFactor(S(1, 2)),
+             lambda: WhittakerFactor(lam), lambda: WhittakerFactor(S(3))]
+    mixes = [[PolyFactor(), WhittakerFactor(lam), QuotFactor()],
+             [LaurentFactor(), TwistedFactor(S(1, 2)), TwistedFactor(lam)]]
+    mods = [WeylModule([make() for _ in range(n)])
+            for make in kinds for n in (2, 3)]
+    mods += [WeylModule(m[:n]) for m in mixes for n in (2, 3)]
+    for P in mods:
+        win = P.window_basis(3)
+        lo = -2 if P.mode == LAURENT else 0
+        for _ in range(12):
+            idx = rng.choice(win)
+            alpha = tuple(rng.randint(lo, 2) for _ in range(P.n))
+            assert P.act_index(idx, alpha) == \
+                P.act_t_monomial(alpha, one_at(idx)), (P.kind, idx, alpha)
+            for j in range(1, P.n + 1):
+                assert P.act_index(idx, alpha, j) == \
+                    P.act_witt_monomial(alpha, j, one_at(idx)), \
+                    (P.kind, idx, alpha, j)
+
+
+def test_act_index_plus_mode_and_quot_truncation():
+    P = laurent_quot(2)
+    with pytest.raises(ValueError):
+        P.act_index((-1, -1), (1, -1))
+    with pytest.raises(ValueError):
+        tensor_factors([LaurentFactor(), PolyFactor()]).act_index(
+            (0, 0), (-1, 0), 2)
+    # t kills t^-1, so any word with t on that factor is empty
+    assert P.act_index((-1, -2), (1, 0)) == {}
+    assert P.act_index((-1, -2), (1, 0), 2) == {}
+    assert P.act_index((-2, -1), (1, 0)) == {(-1, -1): ONE}
+
+
 def test_weights():
     P = apoly(2)
     assert P.weight((2, 1)) == (S(2), S(1))
