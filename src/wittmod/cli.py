@@ -43,7 +43,8 @@ from .weylmod import (
 )
 from .wittrep import (
     FPModule, check_action_axiom, check_chain_map, complex_homology,
-    fingerprint, irreducibility_report, torsion_matches, weight_support,
+    fingerprint, irreducibility_report, operators, torsion_matches,
+    weight_support,
 )
 
 COMMANDS = ("verify-shen", "verify-axioms", "complex", "irreducible",
@@ -336,8 +337,7 @@ def _run_verify_shen(spec, P, M):
     n, bound = spec.n, spec.gen_bound
     if spec.mode == PLUS:
         elems = [WittElement.monomial(n, PLUS, a, j, ONE)
-                 for a in exponents_within(n, bound, PLUS)
-                 for j in range(1, n + 1)]
+                 for a, j in operators(n, bound, PLUS)]
         pairs = list(itertools.combinations(elems, 2))
         how = "exhaustive |alpha| <= %d" % bound
     else:

@@ -614,20 +614,6 @@ class Echelon:
         return self.rows == other.rows
 
 
-def span_dim(vectors: Iterable[Vec]) -> int:
-    ech = Echelon()
-    for v in vectors:
-        ech.add(v)
-    return ech.dim
-
-
-def in_span(vectors: Iterable[Vec], target: Vec) -> bool:
-    ech = Echelon()
-    for v in vectors:
-        ech.add(v)
-    return ech.contains(target)
-
-
 def coordinate_block_intersection(vectors: Iterable[Vec],
                                   in_block) -> List[Vec]:
     """Basis of span(vectors) ∩ span{coordinates c with in_block(c)}.

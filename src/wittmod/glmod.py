@@ -271,32 +271,39 @@ def cyclic_span(m: GlModule, seeds: List[Dict[int, Scalar]]) -> int:
     return ech.dim
 
 
-def is_irreducible(m: GlModule) -> bool:
-    """True iff the singular space is one line and that line is cyclic."""
-    sing = singular_vectors(m)
-    if len(sing) != 1:
-        return False
-    _, vec = sing[0]
-    seed = {i: x for i, x in enumerate(vec) if not x.is_zero()}
-    return cyclic_span(m, [seed]) == m.dim
+def highest_weight(m: GlModule) -> Optional[Weight]:
+    """The highest weight of m when m is irreducible, else None.
 
-
-def is_fundamental_exterior(m: GlModule) -> Optional[int]:
-    """Return k when m is (isomorphic to) Lambda^k C^n, else None.
-
-    Detection: m is irreducible with highest weight (1,..,1,0,..,0) (k ones)
-    and dimension binom(n, k).  The k = n case includes the scalar module
-    with b = n, whose action matrices coincide with the top exterior power.
+    m is irreducible iff its singular space is one line and that line
+    generates m under all E(i,j).
     """
     sing = singular_vectors(m)
     if len(sing) != 1:
         return None
     weight, vec = sing[0]
     seed = {i: x for i, x in enumerate(vec) if not x.is_zero()}
-    if cyclic_span(m, [seed]) != m.dim:
-        return None
+    return weight if cyclic_span(m, [seed]) == m.dim else None
+
+
+def exterior_degree(m: GlModule, weight: Weight) -> Optional[int]:
+    """k when m, irreducible of highest weight `weight`, is (isomorphic to)
+    Lambda^k C^n: the weight is (1,..,1,0,..,0) with k ones and the
+    dimension is binom(n, k).  The k = n case includes the scalar module
+    with b = n, whose action matrices coincide with the top exterior power.
+    """
     for k in range(m.n + 1):
         target = tuple([ONE] * k + [ZERO] * (m.n - k))
         if weight == target and m.dim == math.comb(m.n, k):
             return k
     return None
+
+
+def is_irreducible(m: GlModule) -> bool:
+    """True iff the singular space is one line and that line is cyclic."""
+    return highest_weight(m) is not None
+
+
+def is_fundamental_exterior(m: GlModule) -> Optional[int]:
+    """Return k when m is (isomorphic to) Lambda^k C^n, else None."""
+    weight = highest_weight(m)
+    return None if weight is None else exterior_degree(m, weight)

@@ -26,8 +26,7 @@ from wittmod.exactnum import (
     kernel_basis, vec_add, vec_axpy, vec_scale, vec_sub,
 )
 from wittmod.glmod import (
-    GlModule, exterior_power, is_fundamental_exterior, is_irreducible,
-    wedge_sort,
+    GlModule, exterior_degree, exterior_power, highest_weight, wedge_sort,
 )
 from wittmod.liealg import WittElement, witt_bracket
 from wittmod.polyalg import MultiIndex, exponents_within, unit_index
@@ -37,9 +36,10 @@ Cell = Tuple  # (P basis index, M basis index)
 FPMVector = Dict  # Cell -> Scalar
 
 
-def _operators(n: int, A: int, mode: str) -> List[Tuple[MultiIndex, int]]:
+def operators(n: int, A: int, mode: str) -> List[Tuple[MultiIndex, int]]:
     """The monomial operators t^alpha d_j with |alpha| <= A, alpha in the
-    order of `exponents_within` and j = 1..n within each alpha."""
+    order of `exponents_within` and j = 1..n within each alpha: the one
+    operator enumeration of every sweep and of `verify-shen`."""
     return [(alpha, j)
             for alpha in exponents_within(n, A, mode)
             for j in range(1, n + 1)]
@@ -51,6 +51,47 @@ def _subsets(n: int, k: int) -> List[Tuple[int, ...]]:
 
 def _indicator(n: int, s: Tuple[int, ...]) -> Tuple[int, ...]:
     return tuple(1 if i in s else 0 for i in range(1, n + 1))
+
+
+# A part (a, j, w) of an image on P (x) M is (t^a d_j p) (x) w, with t^a
+# alone when j is None and w a sparse M-vector {M-index: Scalar}.
+Part = Tuple[MultiIndex, Optional[int], Dict[int, Scalar]]
+
+# (n, k) -> for each basis index of Ext(k), the parts (0, l, {index of
+# e_l ^ e_S: +-1}) of pi_k over the l not in S
+_WEDGE_PARTS: Dict[Tuple[int, int], List[List[Part]]] = {}
+
+
+def _wedge_parts(n: int, k: int) -> List[List[Part]]:
+    table = _WEDGE_PARTS.get((n, k))
+    if table is None:
+        zero = (0,) * n
+        dst = {s: a for a, s in enumerate(_subsets(n, k + 1))}
+        table = []
+        for s in _subsets(n, k):
+            parts: List[Part] = []
+            for l in range(1, n + 1):
+                wedge = wedge_sort((l,) + s)
+                if wedge is not None:
+                    sgn, s_l = wedge
+                    parts.append((zero, l, {dst[s_l]: ONE if sgn == 1
+                                            else -ONE}))
+            table.append(parts)
+        _WEDGE_PARTS[(n, k)] = table
+    return table
+
+
+def _tensor(out: FPMVector, P: WeylModule, pidx: Tuple,
+            parts: Sequence[Part], c: Scalar = ONE) -> FPMVector:
+    """out += c * sum over (a, j, w) in parts of (t^a d_j p) (x) w, p the P
+    basis vector pidx; returns out.  Every map on P (x) M (the Witt action,
+    pi_k, the torsion closed form) is such a sum."""
+    for a, j, w in parts:
+        if w:
+            img = P.act_index(pidx, a, j)
+            vec_axpy(out, [((p2, m2), cp * cm) for p2, cp in img.items()
+                           for m2, cm in w.items()], c)
+    return out
 
 
 class FPModule:
@@ -93,24 +134,13 @@ class FPModule:
         if hit is not None:
             return hit
         pidx, midx = cell
-        out: FPMVector = {
-            (p2, midx): c for p2, c in
-            self.P.act_index(pidx, alpha, j).items()}
-        for i in range(1, self.n + 1):
-            a_i = alpha[i - 1]
-            if a_i == 0:
-                continue
-            shifted = alpha[:i - 1] + (a_i - 1,) + alpha[i:]
-            tpart = self.P.act_index(pidx, shifted)
-            if not tpart:
-                continue
-            col = self.M.act_column(i, j, midx)
-            if not col:
-                continue
-            col = vec_scale(col, Scalar.integer(a_i))
-            for p2, cp in tpart.items():
-                vec_axpy(out, [((p2, m2), cm) for m2, cm in col.items()], cp)
-        self._cell_cache[key] = out
+        parts: List[Part] = [(alpha, j, {midx: ONE})]
+        for i, a_i in enumerate(alpha, 1):
+            col = self.M.act_column(i, j, midx) if a_i else None
+            if col:
+                parts.append((alpha[:i - 1] + (a_i - 1,) + alpha[i:], None,
+                              vec_scale(col, Scalar.integer(a_i))))
+        out = self._cell_cache[key] = _tensor({}, self.P, pidx, parts)
         return out
 
     def act(self, alpha: MultiIndex, j: int, vec: FPMVector) -> FPMVector:
@@ -118,14 +148,6 @@ class FPModule:
         out: FPMVector = {}
         for cell, c in vec.items():
             vec_axpy(out, self.act_cell(alpha, j, cell).items(), c)
-        return out
-
-    def act_witt(self, x: WittElement, vec: FPMVector) -> FPMVector:
-        if x.n != self.n:
-            raise ValueError("operator arity mismatch")
-        out: FPMVector = {}
-        for alpha, j, c in x.monomials():
-            vec_axpy(out, self.act(alpha, j, vec).items(), c)
         return out
 
     def weight_of(self, cell: Cell) -> Tuple[Scalar, ...]:
@@ -149,24 +171,12 @@ def pi_map(P: WeylModule, k: int, vec: FPMVector) -> FPMVector:
     p (x) e_S -> sum over l not in S of (d_l p) (x) (e_l ^ e_S), where
     e_l ^ e_S = sign * e_(S+l) and sign counts the transpositions that move
     l from the front into place."""
-    n = P.n
-    if not 0 <= k <= n - 1:
+    if not 0 <= k <= P.n - 1:
         raise ValueError("top degree")
-    src = _subsets(n, k)
-    dst_index = {s: a for a, s in enumerate(_subsets(n, k + 1))}
-    zero = (0,) * n
+    table = _wedge_parts(P.n, k)
     out: FPMVector = {}
     for (pidx, midx), c in vec.items():
-        s = src[midx]
-        for l in range(1, n + 1):
-            wedge = wedge_sort((l,) + s)
-            if wedge is None:
-                continue
-            sgn, s_l = wedge
-            target = dst_index[s_l]
-            img = P.act_index(pidx, zero, l)
-            vec_axpy(out, [((p2, target), cp) for p2, cp in img.items()],
-                     c if sgn == 1 else -c)
+        _tensor(out, P, pidx, table[midx], c)
     return out
 
 
@@ -192,14 +202,9 @@ def torsion_expected(F: FPModule, l: int, i: int, j: int,
     sum_k t^alpha p_k (x) (delta_li E(l,j) - E(l,i) E(l,j)) w_k."""
     out: FPMVector = {}
     for (pidx, midx), c in v.items():
-        tpart = F.P.act_index(pidx, alpha)
-        if not tpart:
-            continue
         w1 = F.M.act_column(l, j, midx)
-        mvec = dict(w1) if l == i else {}
-        mvec = vec_sub(mvec, F.M.act(l, i, w1))
-        for p2, cp in tpart.items():
-            vec_axpy(out, [((p2, m2), cm) for m2, cm in mvec.items()], c * cp)
+        mvec = vec_sub(dict(w1) if l == i else {}, F.M.act(l, i, w1))
+        _tensor(out, F.P, pidx, [(alpha, None, mvec)], c)
     return out
 
 
@@ -264,7 +269,7 @@ def submodule_closure(F: FPModule, seeds: Sequence[FPMVector],
     """
     window = F.window_basis(D)
     full = len(window)
-    ops = _operators(F.n, A, F.mode)
+    ops = operators(F.n, A, F.mode)
     ech = Echelon()
     work: List[FPMVector] = []
     for s in seeds:
@@ -312,6 +317,17 @@ def l_window(P: WeylModule, r: int, D: int, margin: int = 1) -> WindowedSubspace
     return WindowedSubspace(F_r, D, ech)
 
 
+def _kernel_subspace(F: FPModule, D: int, cols: List[Cell],
+                     rows: Dict) -> WindowedSubspace:
+    """The combinations of the window cells `cols` on which every sparse row
+    {column index: Scalar} of `rows` vanishes, rows taken in key order."""
+    mat = ExactMatrix(len(rows), len(cols), [rows[k] for k in sorted(rows)])
+    ech = Echelon()
+    for kv in kernel_basis(mat):
+        ech.add({cols[ci]: x for ci, x in enumerate(kv) if not x.is_zero()})
+    return WindowedSubspace(F, D, ech)
+
+
 def kernel_window(P: WeylModule, r: int, D: int) -> WindowedSubspace:
     """ker pi_r intersected with the window (images computed exactly,
     never truncated)."""
@@ -324,12 +340,7 @@ def kernel_window(P: WeylModule, r: int, D: int) -> WindowedSubspace:
     for ci, cell in enumerate(cols):
         for oc, x in pi_map(P, r, {cell: ONE}).items():
             rows.setdefault(oc, {})[ci] = x
-    mat = ExactMatrix(len(rows), len(cols),
-                      [rows[k] for k in sorted(rows)])
-    ech = Echelon()
-    for kv in kernel_basis(mat):
-        ech.add({cols[ci]: x for ci, x in enumerate(kv) if not x.is_zero()})
-    return WindowedSubspace(F_r, D, ech)
+    return _kernel_subspace(F_r, D, cols, rows)
 
 
 def ltilde_window(P: WeylModule, r: int, D: int, A: int) -> WindowedSubspace:
@@ -342,7 +353,7 @@ def ltilde_window(P: WeylModule, r: int, D: int, A: int) -> WindowedSubspace:
         raise ValueError("wedge degree out of range")
     F_r = FPModule(P, exterior_power(n, r))
     cols = F_r.window_basis(D)
-    ops = _operators(n, A, P.mode)
+    ops = operators(n, A, P.mode)
     deep: Dict[int, WindowedSubspace] = {}
     rows: Dict[Tuple[int, Cell], Dict[int, Scalar]] = {}
     for oi, (alpha, j) in enumerate(ops):
@@ -354,12 +365,7 @@ def ltilde_window(P: WeylModule, r: int, D: int, A: int) -> WindowedSubspace:
             img = F_r.act_cell(tuple(alpha), j, cell)
             for oc, x in lw.residual(img).items():
                 rows.setdefault((oi, oc), {})[ci] = x
-    mat = ExactMatrix(len(rows), len(cols),
-                      [rows[k] for k in sorted(rows)])
-    ech = Echelon()
-    for kv in kernel_basis(mat):
-        ech.add({cols[ci]: x for ci, x in enumerate(kv) if not x.is_zero()})
-    return WindowedSubspace(F_r, D, ech)
+    return _kernel_subspace(F_r, D, cols, rows)
 
 
 def interior_invariant(sub: WindowedSubspace, bound: int = 3) -> bool:
@@ -369,7 +375,7 @@ def interior_invariant(sub: WindowedSubspace, bound: int = 3) -> bool:
     F, D = sub.F, sub.D
     rows = sub.basis()
     levels = [max(F.level(c) for c in row) for row in rows]
-    for alpha, j in _operators(F.n, bound, F.mode):
+    for alpha, j in operators(F.n, bound, F.mode):
         rb = max(0, F.P.op_raise_bound(alpha, j))
         for row, lvl in zip(rows, levels):
             if lvl + rb > D:
@@ -419,21 +425,21 @@ def _homology_graded(P: WeylModule, D: int) -> HomologyTable:
                 deltas.add(tuple(p + e for p, e in zip(pidx, ind)))
     table: Dict[Tuple[int, Optional[int]], int] = {}
     excluded = 0
-    zero = (0,) * n
     for delta in sorted(deltas):
-        cells: Dict[int, List[Tuple[Tuple[int, ...], Tuple[int, ...]]]] = {}
+        # k -> the cells (P-index, index of S in Ext(k)) of this multidegree
+        cells: Dict[int, List[Cell]] = {}
         ok = True
         empty = True
         for k in range(n + 1):
             lst = []
-            for s in _subsets(n, k):
+            for a, s in enumerate(_subsets(n, k)):
                 pidx = tuple(d - e for d, e in zip(delta, _indicator(n, s)))
                 if not P.valid_index(pidx):
                     continue
                 if P.level(pidx) > D:
                     ok = False
                     break
-                lst.append((s, pidx))
+                lst.append((pidx, a))
             if not ok:
                 break
             cells[k] = lst
@@ -447,16 +453,8 @@ def _homology_graded(P: WeylModule, D: int) -> HomologyTable:
         ranks: Dict[int, int] = {}
         for k in range(n):
             ech = Echelon()
-            for s, pidx in cells[k]:
-                img: Dict[Tuple, Scalar] = {}
-                for l in range(1, n + 1):
-                    wedge = wedge_sort((l,) + s)
-                    if wedge is None:
-                        continue
-                    sgn, s_l = wedge
-                    d_l = P.act_index(pidx, zero, l)
-                    vec_axpy(img, [((s_l, p2), cp if sgn == 1 else -cp)
-                                   for p2, cp in d_l.items()])
+            for cell in cells[k]:
+                img = pi_map(P, k, {cell: ONE})
                 if img:
                     ech.add(img)
             ranks[k] = ech.dim
@@ -591,7 +589,7 @@ def _quotient_trivial(P: WeylModule, D: int, A: int,
     image subspace (computed at a window deep enough to hold the images)."""
     n = P.n
     F = FPModule(P, exterior_power(n, n))
-    ops = _operators(n, A, P.mode)
+    ops = operators(n, A, P.mode)
     maxraise = max(max(0, P.op_raise_bound(a, j)) for a, j in ops)
     lw = l_window(P, n, D + maxraise)
     for cell in F.window_basis(D):
@@ -620,12 +618,13 @@ def irreducibility_report(P: WeylModule, M: GlModule, D: int,
     """
     n = P.n
     details: List[str] = []
-    if not is_irreducible(M):
+    weight = highest_weight(M)
+    if weight is None:
         return IrreducibilityReport(
             "skipped", False, "m-reducible",
             ["M = %s is a reducible gl-module; no verdict attempted"
              % M.name])
-    r = is_fundamental_exterior(M)
+    r = exterior_degree(M, weight)
     F = FPModule(P, M)
     if r is None:
         return _saturation_report(F, D, A, details)
@@ -671,19 +670,19 @@ def irreducibility_report(P: WeylModule, M: GlModule, D: int,
 def check_action_axiom(F: FPModule, bound: int, D: int) -> Tuple[bool, int, str]:
     """[x, y] v = x(yv) - y(xv) for all monomial pairs with |alpha| <= bound
     over the window basis.  Returns (ok, pairs checked, failure note)."""
-    ops = _operators(F.n, bound, F.mode)
+    ops = operators(F.n, bound, F.mode)
+    elems = [WittElement.monomial(F.n, F.mode, a, j) for a, j in ops]
     cells = F.window_basis(D)
     checked = 0
-    for ai in range(len(ops)):
-        xa, xj = ops[ai]
-        x = WittElement.monomial(F.n, F.mode, xa, xj)
+    for ai, (xa, xj) in enumerate(ops):
         for bi in range(ai + 1, len(ops)):
             ya, yj = ops[bi]
-            y = WittElement.monomial(F.n, F.mode, ya, yj)
-            br = witt_bracket(x, y)
+            br = witt_bracket(elems[ai], elems[bi]).monomials()
             for cell in cells:
                 v = {cell: ONE}
-                lhs = F.act_witt(br, v)
+                lhs: FPMVector = {}
+                for alpha, j, c in br:
+                    vec_axpy(lhs, F.act_cell(alpha, j, cell).items(), c)
                 rhs = vec_sub(F.act(xa, xj, F.act(ya, yj, v)),
                               F.act(ya, yj, F.act(xa, xj, v)))
                 checked += 1
@@ -703,7 +702,7 @@ def check_chain_map(P: WeylModule, bound: int, D: int) -> Tuple[bool, int, str]:
         F_k = FPModule(P, exterior_power(n, k))
         F_k1 = FPModule(P, exterior_power(n, k + 1))
         cells = F_k.window_basis(D)
-        for alpha, j in _operators(n, bound, P.mode):
+        for alpha, j in operators(n, bound, P.mode):
             for cell in cells:
                 v = {cell: ONE}
                 lhs = pi_map(P, k, F_k.act(alpha, j, v))

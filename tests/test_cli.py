@@ -1,6 +1,8 @@
 """CLI parsing, dispatch, exit codes, and report schema."""
 
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -174,3 +176,17 @@ def test_text_rendering(capsys):
     assert "command:   support" in out
     assert "(l1 + 1, l2)" in out
     assert out.count("- (") == 5
+
+
+def test_readme_irreducible_example(capsys):
+    # the README's text-report block must be main()'s output, elapsed aside
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    cmd = '$ wittmod irreducible --n 2 --P Apoly --M "Ext(1)" --window 3'
+    block = readme.split(cmd + "\n", 1)[1].split("```", 1)[0]
+    assert main(shlex.split(cmd)[2:]) == 0
+    out = capsys.readouterr().out
+
+    def body(text):
+        return [line for line in text.splitlines()
+                if not line.startswith("elapsed:")]
+    assert body(out) == body(block)

@@ -4,8 +4,7 @@ from fractions import Fraction
 import pytest
 
 from wittmod.exactnum import (
-    ONE, ExactMatrix, Scalar, Echelon, _pgcd, in_span, kernel_basis, rank,
-    span_dim, vec_axpy,
+    ONE, ExactMatrix, Scalar, Echelon, _pgcd, kernel_basis, rank, vec_axpy,
 )
 
 
@@ -65,9 +64,11 @@ def test_rank_kernel_example():
 
 
 def test_in_span_example():
-    vs = [{0: S(1)}, {0: L1, 1: S(1)}]
-    assert in_span(vs, {0: S(1) + L1, 1: S(1)})
-    assert not in_span(vs, {2: S(1)})
+    ech = Echelon()
+    for v in [{0: S(1)}, {0: L1, 1: S(1)}]:
+        ech.add(v)
+    assert ech.contains({0: S(1) + L1, 1: S(1)})
+    assert not ech.contains({2: S(1)})
 
 
 def test_echelon_same_span():
@@ -245,7 +246,10 @@ def test_vec_axpy():
 
 
 def test_span_dim():
-    assert span_dim([{0: S(1)}, {0: S(2)}, {1: L1}]) == 2
+    ech = Echelon()
+    for v in [{0: S(1)}, {0: S(2)}, {1: L1}]:
+        ech.add(v)
+    assert ech.dim == 2
 
 
 def test_hypothesis_field_axioms():

@@ -1,13 +1,15 @@
 """Tests for F(P, M): actions, chain maps, windows, reports."""
 
+import itertools
 import random
 
 import pytest
 
 from wittmod.cli import main
-from wittmod.exactnum import ONE, Scalar, vec_sub, vec_clean
+from wittmod.exactnum import ONE, Scalar, vec_axpy, vec_sub, vec_clean
 from wittmod.glmod import (
     exterior_power, natural_module, scalar_module, sym_power, tensor_module,
+    wedge_sort,
 )
 from wittmod.liealg import WittElement
 from wittmod.weylmod import alaurent, apoly, laurent_quot, twisted_laurent, whittaker
@@ -165,6 +167,33 @@ def test_wedge_sign_bookkeeping():
     assert out[((0, 1, 1), 0)] == ONE          # l=1 -> eps1^eps2, sign +
     assert out[((1, 1, 0), 2)] == S(-1)        # l=3 -> eps2^eps3? sign: x<3 count 1
     assert ((1, 0, 1), 1) not in out           # l=2 repeats
+
+
+def test_pi_n4_matches_defining_sum():
+    # pi_k(p (x) e_S) = sum over l of (d_l p) (x) (e_l ^ e_S), recomputed from
+    # wedge_sort and the stepping action on every cell of the apoly(4)
+    # window 2, for every k; consecutive maps compose to zero there
+    P = apoly(4)
+    n, zero = 4, (0, 0, 0, 0)
+    for k in range(n):
+        src = list(itertools.combinations(range(1, n + 1), k))
+        dst = {s: a for a, s in enumerate(
+            itertools.combinations(range(1, n + 1), k + 1))}
+        F = FPModule(P, exterior_power(n, k))
+        for pidx, midx in F.window_basis(2):
+            expect = {}
+            for l in range(1, n + 1):
+                wedge = wedge_sort((l,) + src[midx])
+                if wedge is None:
+                    continue
+                sgn, s_l = wedge
+                d_l = P.act_witt_monomial(zero, l, {pidx: ONE})
+                vec_axpy(expect, [((p2, dst[s_l]), c) for p2, c in d_l.items()],
+                         S(sgn))
+            img = pi_map(P, k, {(pidx, midx): ONE})
+            assert img == expect
+            if k + 1 <= n - 1:
+                assert pi_map(P, k + 1, img) == {}
 
 
 # ---------------------------------------------------------------------------
