@@ -637,7 +637,8 @@ def coordinate_block_intersection(vectors: Iterable[Vec],
 # ---------------------------------------------------------------------------
 
 class ExactMatrix:
-    """Sparse matrix over Scalar; rows are dicts col -> nonzero Scalar."""
+    """Sparse matrix over Scalar, the input of `rank` and `kernel_basis`;
+    rows are dicts col -> nonzero Scalar."""
 
     __slots__ = ("nrows", "ncols", "rows")
 
@@ -659,47 +660,6 @@ class ExactMatrix:
     def entry(self, i: int, j: int) -> Scalar:
         return self.rows[i].get(j, _S_ZERO)
 
-    def set_entry(self, i: int, j: int, x: Scalar) -> None:
-        if x.is_zero():
-            self.rows[i].pop(j, None)
-        else:
-            self.rows[i][j] = x
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ExactMatrix):
-            return NotImplemented
-        return (self.nrows == other.nrows and self.ncols == other.ncols
-                and self.rows == other.rows)
-
-    def __hash__(self):
-        return hash((self.nrows, self.ncols,
-                     tuple(frozenset(r.items()) for r in self.rows)))
-
-    def is_zero(self) -> bool:
-        return all(not r for r in self.rows)
-
-    def add(self, other: "ExactMatrix") -> "ExactMatrix":
-        assert self.nrows == other.nrows and self.ncols == other.ncols
-        return ExactMatrix(self.nrows, self.ncols,
-                           [vec_add(a, b) for a, b in zip(self.rows, other.rows)])
-
-    def sub(self, other: "ExactMatrix") -> "ExactMatrix":
-        assert self.nrows == other.nrows and self.ncols == other.ncols
-        return ExactMatrix(self.nrows, self.ncols,
-                           [vec_sub(a, b) for a, b in zip(self.rows, other.rows)])
-
-    def scale(self, a: Scalar) -> "ExactMatrix":
-        return ExactMatrix(self.nrows, self.ncols,
-                           [vec_scale(r, a) for r in self.rows])
-
-    def mul(self, other: "ExactMatrix") -> "ExactMatrix":
-        assert self.ncols == other.nrows
-        out = ExactMatrix(self.nrows, other.ncols)
-        for i, row in enumerate(self.rows):
-            for k, x in row.items():
-                vec_axpy(out.rows[i], other.rows[k].items(), x)
-        return out
-
     def apply(self, v: Sequence[Scalar]) -> List[Scalar]:
         out = []
         for row in self.rows:
@@ -709,28 +669,6 @@ class ExactMatrix:
                     acc = acc + x * v[j]
             out.append(acc)
         return out
-
-    def apply_sparse(self, v: Vec) -> Vec:
-        """Apply to a sparse column vector {index: Scalar}."""
-        acc: Vec = {}
-        for j, xv in v.items():
-            vec_axpy(acc, self.column(j).items(), xv)
-        return acc
-
-    def column(self, j: int) -> Vec:
-        out = {}
-        for i, row in enumerate(self.rows):
-            x = row.get(j)
-            if x is not None:
-                out[i] = x
-        return out
-
-    def __str__(self) -> str:
-        lines = []
-        for row in self.rows:
-            lines.append("[" + ", ".join(str(row.get(j, _S_ZERO))
-                                         for j in range(self.ncols)) + "]")
-        return "\n".join(lines)
 
 
 def _echelon(mat: ExactMatrix) -> Echelon:

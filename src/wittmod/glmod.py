@@ -1,10 +1,11 @@
-"""Finite-dimensional gl_n-modules given by explicit action matrices.
+"""Finite-dimensional gl_n-modules given by the images of basis vectors.
 
-A GlModule stores one dim x dim matrix per elementary E(i,j); the
-commutation relations [E(i,j), E(k,l)] = delta_jk E(i,l) - delta_li E(k,j)
-are verified at construction.  Provided constructors: the natural module,
-exterior powers, symmetric powers, one-dimensional scalar modules where
-E(i,j) acts as delta_ij * b/n, and tensor products.
+A GlModule stores, for each elementary E(i,j), one sparse column per basis
+vector e_m: the image E(i,j) e_m.  The commutation relations
+[E(i,j), E(k,l)] = delta_jk E(i,l) - delta_li E(k,j) are verified at
+construction.  Provided constructors: the natural module, exterior powers,
+symmetric powers, one-dimensional scalar modules where E(i,j) acts as
+delta_ij * b/n, and tensor products.
 """
 
 from __future__ import annotations
@@ -18,16 +19,20 @@ from wittmod.exactnum import (
 )
 
 Weight = Tuple[Scalar, ...]
+Column = Dict[int, Scalar]
+
+_MINUS_ONE = Scalar.integer(-1)
 
 
 class GlModule:
-    """A gl_n-module: basis labels plus an action matrix for each E(i,j)."""
+    """A gl_n-module: basis labels plus, for each E(i,j), the list of
+    columns E(i,j) e_m, each a sparse {row: coeff} in increasing row order."""
 
     __slots__ = ("n", "dim", "labels", "action", "name")
 
     def __init__(self, n: int, labels: Sequence[str],
-                 action: Dict[Tuple[int, int], ExactMatrix],
-                 name: str = "", check: bool = True):
+                 action: Dict[Tuple[int, int], List[Column]],
+                 name: str = ""):
         self.n = n
         self.dim = len(labels)
         self.labels = list(labels)
@@ -35,39 +40,46 @@ class GlModule:
         self.name = name or "gl%d-module" % n
         for i in range(1, n + 1):
             for j in range(1, n + 1):
-                m = self.action.get((i, j))
-                if m is None:
+                cols = self.action.get((i, j))
+                if cols is None:
                     raise ValueError("missing action matrix for E(%d,%d)" % (i, j))
-                if m.nrows != self.dim or m.ncols != self.dim:
+                if len(cols) != self.dim or any(
+                        not 0 <= r < self.dim for col in cols for r in col):
                     raise ValueError("action matrix shape mismatch")
-        if check:
-            self._check_commutation()
+        self._check_commutation()
 
     def _check_commutation(self) -> None:
         n = self.n
         for i, j, k, l in itertools.product(range(1, n + 1), repeat=4):
-            a, b = self.action[(i, j)], self.action[(k, l)]
-            comm = a.mul(b).sub(b.mul(a))
-            want = ExactMatrix(self.dim, self.dim)
-            if j == k:
-                want = want.add(self.action[(i, l)])
-            if l == i:
-                want = want.sub(self.action[(k, j)])
-            if comm != want:
-                raise ValueError(
-                    "commutation relation fails for [E(%d,%d), E(%d,%d)]"
-                    % (i, j, k, l))
+            for m in range(self.dim):
+                # [E(i,j), E(k,l)] e_m - delta_jk E(i,l) e_m + delta_li E(k,j) e_m
+                diff = self.act(i, j, self.action[(k, l)][m])
+                vec_axpy(diff, self.act(k, l, self.action[(i, j)][m]).items(),
+                         _MINUS_ONE)
+                if j == k:
+                    vec_axpy(diff, self.action[(i, l)][m].items(), _MINUS_ONE)
+                if l == i:
+                    vec_axpy(diff, self.action[(k, j)][m].items())
+                if diff:
+                    raise ValueError(
+                        "commutation relation fails for [E(%d,%d), E(%d,%d)]"
+                        % (i, j, k, l))
 
     def act(self, i: int, j: int, vec: Dict[int, Scalar]) -> Dict[int, Scalar]:
         """Apply E(i,j) to a sparse vector {basis index: coeff}."""
-        return self.action[(i, j)].apply_sparse(vec)
+        cols = self.action[(i, j)]
+        out: Dict[int, Scalar] = {}
+        for idx, c in vec.items():
+            vec_axpy(out, cols[idx].items(), c)
+        return out
 
-    def act_column(self, i: int, j: int, idx: int) -> Dict[int, Scalar]:
-        return self.action[(i, j)].column(idx)
+    def act_column(self, i: int, j: int, idx: int) -> Column:
+        """E(i,j) e_idx: the stored column, which callers must not mutate."""
+        return self.action[(i, j)][idx]
 
     def diagonal_weight(self, idx: int) -> Weight:
-        """Weight of a basis vector, assuming diagonal E(i,i) matrices."""
-        return tuple(self.action[(i, i)].entry(idx, idx)
+        """Weight of a basis vector, assuming diagonal E(i,i) actions."""
+        return tuple(self.action[(i, i)][idx].get(idx, ZERO)
                      for i in range(1, self.n + 1))
 
     def __repr__(self) -> str:
@@ -80,12 +92,8 @@ class GlModule:
 
 def natural_module(n: int) -> GlModule:
     """C^n with E(i,j) e_l = delta_jl e_i."""
-    action = {}
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            m = ExactMatrix(n, n)
-            m.set_entry(i - 1, j - 1, ONE)
-            action[(i, j)] = m
+    action = {(i, j): [{i - 1: ONE} if c == j - 1 else {} for c in range(n)]
+              for i in range(1, n + 1) for j in range(1, n + 1)}
     return GlModule(n, ["e%d" % (i + 1) for i in range(n)], action, name="Nat")
 
 
@@ -111,20 +119,16 @@ def exterior_power(n: int, k: int) -> GlModule:
     basis = list(itertools.combinations(range(1, n + 1), k))
     index = {s: a for a, s in enumerate(basis)}
     labels = ["^".join("e%d" % x for x in s) if s else "1" for s in basis]
-    action = {}
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            m = ExactMatrix(len(basis), len(basis))
-            for col, s in enumerate(basis):
-                if j not in s:
-                    continue
-                replaced = [i if x == j else x for x in s]
-                res = wedge_sort(replaced)
-                if res is None:
-                    continue
-                sign, sorted_s = res
-                m.set_entry(index[sorted_s], col, Scalar.integer(sign))
-            action[(i, j)] = m
+
+    def column(i, j, s):
+        res = wedge_sort([i if x == j else x for x in s]) if j in s else None
+        if res is None:
+            return {}
+        sign, sorted_s = res
+        return {index[sorted_s]: Scalar.integer(sign)}
+
+    action = {(i, j): [column(i, j, s) for s in basis]
+              for i in range(1, n + 1) for j in range(1, n + 1)}
     return GlModule(n, labels, action, name="Ext(%d)" % k)
 
 
@@ -145,31 +149,24 @@ def sym_power(n: int, k: int) -> GlModule:
                 parts.append("e%d^%d" % (i + 1, x))
         return "*".join(parts) if parts else "1"
 
-    action = {}
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            m = ExactMatrix(len(basis), len(basis))
-            for col, e in enumerate(basis):
-                if e[j - 1] == 0:
-                    continue
-                ee = list(e)
-                ee[j - 1] -= 1
-                ee[i - 1] += 1
-                m.set_entry(index[tuple(ee)], col, Scalar.integer(e[j - 1]))
-            action[(i, j)] = m
+    def column(i, j, e):
+        if e[j - 1] == 0:
+            return {}
+        ee = list(e)
+        ee[j - 1] -= 1
+        ee[i - 1] += 1
+        return {index[tuple(ee)]: Scalar.integer(e[j - 1])}
+
+    action = {(i, j): [column(i, j, e) for e in basis]
+              for i in range(1, n + 1) for j in range(1, n + 1)}
     return GlModule(n, [label(e) for e in basis], action, name="Sym(%d)" % k)
 
 
 def scalar_module(n: int, b: Scalar) -> GlModule:
     """One-dimensional module where E(i,j) acts as delta_ij * b/n."""
     val = b / Scalar.integer(n)
-    action = {}
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            m = ExactMatrix(1, 1)
-            if i == j:
-                m.set_entry(0, 0, val)
-            action[(i, j)] = m
+    action = {(i, j): [{0: val} if i == j and not val.is_zero() else {}]
+              for i in range(1, n + 1) for j in range(1, n + 1)}
     return GlModule(n, ["1"], action, name="Triv(%s)" % b)
 
 
@@ -180,20 +177,17 @@ def tensor_module(m1: GlModule, m2: GlModule) -> GlModule:
     n = m1.n
     d1, d2 = m1.dim, m2.dim
     labels = ["%s*%s" % (a, b) for a in m1.labels for b in m2.labels]
-    action = {}
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            m = ExactMatrix(d1 * d2, d1 * d2)
-            a1, a2 = m1.action[(i, j)], m2.action[(i, j)]
-            for r1, row in enumerate(a1.rows):
-                for c1, x in row.items():
-                    for s in range(d2):
-                        m.set_entry(r1 * d2 + s, c1 * d2 + s, x)
-            for r2, row in enumerate(a2.rows):
-                for s in range(d1):
-                    vec_axpy(m.rows[s * d2 + r2],
-                             [(s * d2 + c2, x) for c2, x in row.items()])
-            action[(i, j)] = m
+
+    def column(i, j, c1, s):
+        # E e_c1 (x) e_s + e_c1 (x) E e_s, in increasing row order
+        col = {r1 * d2 + s: x for r1, x in m1.act_column(i, j, c1).items()}
+        vec_axpy(col, [(c1 * d2 + r2, x)
+                       for r2, x in m2.act_column(i, j, s).items()])
+        return dict(sorted(col.items()))
+
+    action = {(i, j): [column(i, j, c1, s)
+                       for c1 in range(d1) for s in range(d2)]
+              for i in range(1, n + 1) for j in range(1, n + 1)}
     return GlModule(n, labels, action, name="%s*%s" % (m1.name, m2.name))
 
 
@@ -204,13 +198,12 @@ def tensor_module(m1: GlModule, m2: GlModule) -> GlModule:
 def weight_decomposition(m: GlModule) -> Dict[Weight, List[int]]:
     """Partition basis indices by joint E(i,i) eigenvalue.
 
-    Requires every E(i,i) action matrix to be diagonal in the given basis
+    Requires every E(i,i) to act diagonally in the given basis
     (true for all provided constructors); otherwise raises ValueError.
     """
     for i in range(1, m.n + 1):
-        mat = m.action[(i, i)]
-        for r, row in enumerate(mat.rows):
-            if any(c != r for c in row):
+        for c, col in enumerate(m.action[(i, i)]):
+            if any(r != c for r in col):
                 raise ValueError("not a weight module")
     out: Dict[Weight, List[int]] = {}
     for idx in range(m.dim):
@@ -235,16 +228,14 @@ def singular_vectors(m: GlModule) -> List[Tuple[Weight, List[Scalar]]]:
                 v[c] = ONE
                 out.append((weight, v))
             continue
-        # stack the raising matrices restricted to this weight block
+        # stack the raising operators restricted to this weight block
         rows: List[Dict[int, Scalar]] = []
-        for mat in raising:
-            for r in range(m.dim):
-                row = {}
-                for ci, c in enumerate(coords):
-                    x = mat.entry(r, c)
-                    if not x.is_zero():
-                        row[ci] = x
-                rows.append(row)
+        for cols in raising:
+            block = [{} for _ in range(m.dim)]
+            for ci, c in enumerate(coords):
+                for r, x in cols[c].items():
+                    block[r][ci] = x
+            rows.extend(block)
         stacked = ExactMatrix(len(rows), len(coords), rows)
         for kv in kernel_basis(stacked):
             v = [ZERO] * m.dim

@@ -17,8 +17,8 @@ from typing import Dict, List, Optional, Tuple
 
 from wittmod.exactnum import ONE, Scalar, vec_axpy
 from wittmod.polyalg import (
-    PLUS, MultiIndex, PolyElement, midx_add, midx_sub, render_monomial,
-    unit_index,
+    PLUS, MultiIndex, PolyElement, join_terms, midx_add, midx_sub,
+    render_monomial, signed_term, unit_index,
 )
 
 
@@ -103,33 +103,11 @@ class WittElement:
                 body = render_monomial(e)
                 dpart = "d%d" % j
                 term = "%s*%s" % (body, dpart) if body else dpart
-                sign, rendered = _signed(c, term)
-                parts.append((sign, rendered))
-        return _join_signed(parts)
+                parts.append(signed_term(c, term))
+        return join_terms(parts)
 
     def __repr__(self) -> str:
         return "WittElement(%s)" % self
-
-
-def _signed(c: Scalar, body: str) -> Tuple[str, str]:
-    s = str(c)
-    neg = s.startswith("-")
-    if neg:
-        s = s[1:]
-    if s == "1":
-        return ("-" if neg else "+", body)
-    if " + " in s or " - " in s:
-        s = "(%s)" % s
-    return ("-" if neg else "+", "%s*%s" % (s, body))
-
-
-def _join_signed(parts: List[Tuple[str, str]]) -> str:
-    if not parts:
-        return "0"
-    out = parts[0][1] if parts[0][0] == "+" else "-" + parts[0][1]
-    for sign, body in parts[1:]:
-        out += (" + " if sign == "+" else " - ") + body
-    return out
 
 
 def witt_bracket(x: WittElement, y: WittElement) -> WittElement:
@@ -287,8 +265,8 @@ class WeylElement:
             if db:
                 bits.append(db)
             body = "*".join(bits)
-            parts.append(_signed(c, body if body else "1"))
-        return _join_signed(parts)
+            parts.append(signed_term(c, body))
+        return join_terms(parts)
 
     def __repr__(self) -> str:
         return "WeylElement(%s)" % self
@@ -317,10 +295,6 @@ class ToroidalElement:
             if not g.is_zero():
                 clean[(i, j)] = g
         self.matrix = clean
-
-    @staticmethod
-    def zero(n: int, mode: str = PLUS) -> "ToroidalElement":
-        return ToroidalElement(WittElement.zero(n, mode), {})
 
     def matrix_entry(self, i: int, j: int) -> PolyElement:
         return self.matrix.get((i, j), PolyElement.zero(self.n, self.mode))
@@ -364,8 +338,8 @@ class ToroidalElement:
                 body = render_monomial(e)
                 epart = "E(%d,%d)" % (i, j)
                 term = "%s*%s" % (body, epart) if body else epart
-                parts.append(_signed(c, term))
-        return _join_signed(parts)
+                parts.append(signed_term(c, term))
+        return join_terms(parts)
 
     def __repr__(self) -> str:
         return "ToroidalElement(%s)" % self

@@ -83,17 +83,9 @@ class PolyElement:
         return PolyElement(n, mode, {})
 
     @staticmethod
-    def one(n: int, mode: str = PLUS) -> "PolyElement":
-        return PolyElement(n, mode, {(0,) * n: ONE})
-
-    @staticmethod
     def monomial(n: int, mode: str, e: MultiIndex,
                  coeff: Scalar = ONE) -> "PolyElement":
         return PolyElement(n, mode, {tuple(e): coeff})
-
-    @staticmethod
-    def variable(n: int, i: int, mode: str = PLUS) -> "PolyElement":
-        return PolyElement(n, mode, {unit_index(n, i): ONE})
 
     # -- ring operations
 
@@ -179,30 +171,33 @@ def render_monomial(e: MultiIndex, var: str = "t") -> str:
     return "*".join(parts)
 
 
-def _coeff_prefix(c: Scalar, body: str) -> Tuple[str, str]:
-    """Split a signed coefficient into (sign, rendered term body)."""
+def signed_term(c: Scalar, body: str) -> Tuple[str, str]:
+    """(sign, text) of the term c*body, or of the constant c when body is
+    empty.  A coefficient that prints with several terms is wrapped whole,
+    its sign inside: only a one-term coefficient gives its sign to the sum.
+    """
     s = str(c)
-    neg = s.startswith("-")
-    if neg:
+    if body and (" + " in s or " - " in s):
+        return "+", "(%s)*%s" % (s, body)
+    sign = "-" if s.startswith("-") else "+"
+    if sign == "-":
         s = s[1:]
     if not body:
-        return ("-" if neg else "+", s)
-    if s == "1":
-        return ("-" if neg else "+", body)
-    if any(op in s for op in (" + ", " - ")) and not (s.startswith("(") and s.endswith(")")):
-        s = "(%s)" % s
-    return ("-" if neg else "+", "%s*%s" % (s, body))
+        return sign, s
+    return sign, body if s == "1" else "%s*%s" % (s, body)
+
+
+def join_terms(parts: List[Tuple[str, str]]) -> str:
+    """Join (sign, text) terms into one sum; no terms give "0"."""
+    if not parts:
+        return "0"
+    out = parts[0][1] if parts[0][0] == "+" else "-" + parts[0][1]
+    for sign, text in parts[1:]:
+        out += (" + " if sign == "+" else " - ") + text
+    return out
 
 
 def render_poly(p: PolyElement, var: str = "t") -> str:
-    if p.is_zero():
-        return "0"
     keys = sorted(p.terms, key=lambda e: (midx_total(e), e), reverse=True)
-    out = ""
-    for e in keys:
-        sign, body = _coeff_prefix(p.terms[e], render_monomial(e, var))
-        if not out:
-            out = body if sign == "+" else "-" + body
-        else:
-            out += (" + " if sign == "+" else " - ") + body
-    return out
+    return join_terms([signed_term(p.terms[e], render_monomial(e, var))
+                       for e in keys])

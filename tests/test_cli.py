@@ -1,6 +1,8 @@
 """CLI parsing, dispatch, exit codes, and report schema."""
 
+import ast
 import json
+import re
 import shlex
 from pathlib import Path
 
@@ -190,3 +192,26 @@ def test_readme_irreducible_example(capsys):
         return [line for line in text.splitlines()
                 if not line.startswith("elapsed:")]
     assert body(out) == body(block)
+
+
+def test_readme_quick_start():
+    # each call in README's library quick start returns the dict shown in the
+    # comment under it, entries in the shown order
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Library quick start", 1)[1]
+    lines = block.split("```python\n", 1)[1].split("```", 1)[0].splitlines()
+    env = {}
+    checked = 0
+    for line, below in zip(lines, lines[1:] + [""]):
+        if not line or line.startswith("#"):
+            continue
+        shown = re.match(r"# (\{.*?\})\s", below)
+        if shown is None:
+            exec(line, env)
+            continue
+        got = eval(line, env)
+        want = ast.literal_eval(shown.group(1))
+        assert [(k, str(x)) for k, x in got.items()] == \
+            [(k, str(x)) for k, x in want.items()], line
+        checked += 1
+    assert checked == 2

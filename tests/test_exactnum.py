@@ -225,12 +225,12 @@ def test_unit_product_returns_other_operand():
 
 def test_matrix_mul_apply():
     m = ExactMatrix.from_entries(2, 2, {(0, 1): S(1), (1, 0): L1})
-    sq = m.mul(m)
-    assert sq.entry(0, 0) == L1 and sq.entry(1, 1) == L1
-    assert sq.entry(0, 1).is_zero()
+    assert m.entry(0, 1) == S(1) and m.entry(1, 0) == L1
+    assert m.entry(0, 0).is_zero()
+    # m^2 = l1 * identity, applied column by column
+    assert m.apply(m.apply([S(1), S(0)])) == [L1, S(0)]
+    assert m.apply(m.apply([S(0), S(1)])) == [S(0), L1]
     assert m.apply([S(1), S(2)]) == [S(2), L1]
-    assert m.apply_sparse({0: S(1)}) == {1: L1}
-    assert m.column(0) == {1: L1}
 
 
 def test_vec_axpy():

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from wittmod.exactnum import ExactMatrix, ONE, Scalar, ZERO
+from wittmod.exactnum import ONE, Scalar, ZERO, vec_axpy
 from wittmod.glmod import (
     GlModule, exterior_power, is_fundamental_exterior, is_irreducible,
     natural_module, scalar_module, singular_vectors, sym_power, tensor_module,
@@ -73,9 +73,7 @@ def test_commutation_check_rejects_bad_action():
     n = 2
     good = natural_module(n)
     action = dict(good.action)
-    bad = ExactMatrix(2, 2)
-    bad.set_entry(0, 0, S(5))
-    action[(1, 2)] = bad
+    action[(1, 2)] = [{0: S(5)}, {}]
     with pytest.raises(ValueError, match="commutation"):
         GlModule(n, good.labels, action)
 
@@ -122,24 +120,34 @@ def test_is_fundamental_exterior():
     assert is_fundamental_exterior(natural_module(3)) == 1
 
 
+def _apply(cols, vec):
+    out = {}
+    for c, x in vec.items():
+        vec_axpy(out, cols[c].items(), x)
+    return out
+
+
 def test_weight_decomposition_rejects_non_diagonal():
     n = 2
     # conjugate the natural module by a shear so E(i,i) is not diagonal
-    p = ExactMatrix.from_entries(2, 2, {(0, 0): ONE, (0, 1): ONE, (1, 1): ONE})
-    pinv = ExactMatrix.from_entries(2, 2, {(0, 0): ONE, (0, 1): -ONE, (1, 1): ONE})
+    p = [{0: ONE}, {0: ONE, 1: ONE}]
+    pinv = [{0: ONE}, {0: -ONE, 1: ONE}]
     nat = natural_module(n)
-    action = {k: p.mul(mat).mul(pinv) for k, mat in nat.action.items()}
+    action = {k: [_apply(p, nat.act(*k, pinv[c])) for c in range(n)]
+              for k in nat.action}
     m = GlModule(n, nat.labels, action)
     with pytest.raises(ValueError, match="not a weight module"):
         weight_decomposition(m)
 
 
-def _torsion_matrix(m, l, i, j):
-    a = m.action[(l, j)] if l == i else None
-    prod = m.action[(l, i)].mul(m.action[(l, j)])
-    if a is not None:
-        return a.sub(prod)
-    return prod.scale(S(-1))
+def _torsion_columns(m, l, i, j):
+    """(delta_li E(l,j) - E(l,i) E(l,j)) e_c for every basis index c."""
+    out = []
+    for c in range(m.dim):
+        col = m.act_column(l, j, c)
+        v = dict(col) if l == i else {}
+        out.append(vec_axpy(v, m.act(l, i, col).items(), S(-1)))
+    return out
 
 
 def test_exterior_killed_by_quadratic_relations():
@@ -148,9 +156,61 @@ def test_exterior_killed_by_quadratic_relations():
         for k in range(n + 1):
             m = exterior_power(n, k)
             for l, i, j in itertools.product(range(1, n + 1), repeat=3):
-                assert _torsion_matrix(m, l, i, j).is_zero()
+                assert not any(_torsion_columns(m, l, i, j))
 
 
 def test_sym2_not_killed_by_quadratic_relations():
     m = sym_power(2, 2)
-    assert not _torsion_matrix(m, 1, 1, 1).is_zero()
+    assert any(_torsion_columns(m, 1, 1, 1))
+
+
+def _constructors(n):
+    b = Scalar.param("b")
+    return ([natural_module(n), scalar_module(n, b), scalar_module(n, S(0))]
+            + [exterior_power(n, k) for k in range(n + 1)]
+            + [sym_power(n, k) for k in range(3)]
+            + [tensor_module(natural_module(n), sym_power(n, 2)),
+               tensor_module(sym_power(n, 2), scalar_module(n, b))])
+
+
+def test_tensor_action_matches_leibniz_rule():
+    # E(e_a (x) e_b) = (E e_a) (x) e_b + e_a (x) (E e_b), basis index a*d2 + b
+    b = Scalar.param("b")
+    for n in (2, 3):
+        for m1, m2 in [(natural_module(n), sym_power(n, 2)),
+                       (exterior_power(n, 1), sym_power(n, 2)),
+                       (sym_power(n, 2), scalar_module(n, b))]:
+            m = tensor_module(m1, m2)
+            d2 = m2.dim
+            for i, j in itertools.product(range(1, n + 1), repeat=2):
+                for a, c in itertools.product(range(m1.dim), range(d2)):
+                    want = {}
+                    vec_axpy(want, [(r * d2 + c, x) for r, x
+                                    in m1.act(i, j, {a: ONE}).items()])
+                    vec_axpy(want, [(a * d2 + r, x) for r, x
+                                    in m2.act(i, j, {c: ONE}).items()])
+                    assert m.act(i, j, {a * d2 + c: ONE}) == want, \
+                        (m.name, i, j, a, c)
+
+
+def test_act_column_is_act_on_basis_vector():
+    for n in (2, 3):
+        for m in _constructors(n):
+            for i, j in itertools.product(range(1, n + 1), repeat=2):
+                for c in range(m.dim):
+                    col = m.act_column(i, j, c)
+                    assert col == m.act(i, j, {c: ONE})
+                    assert list(col) == sorted(col)
+
+
+def test_column_shape_is_checked():
+    nat = natural_module(2)
+    for bad in ([{0: ONE}, {2: ONE}], [{-1: ONE}, {}], [{}]):
+        action = dict(nat.action)
+        action[(1, 2)] = bad
+        with pytest.raises(ValueError, match="shape mismatch"):
+            GlModule(2, nat.labels, action)
+    action = dict(nat.action)
+    del action[(2, 1)]
+    with pytest.raises(ValueError, match="missing action matrix"):
+        GlModule(2, nat.labels, action)

@@ -205,3 +205,15 @@ def test_weyl_render():
     w = WeylElement.monomial(2, PLUS, (2, 0), (0, 1)) \
         + WeylElement.monomial(2, PLUS, (0, 0), (1, 0), S(-3))
     assert str(w) == "-3*d1 + t1^2*d2"
+    # a constant term prints as its coefficient
+    c = WeylElement.monomial(2, PLUS, (0, 0), (0, 0), S(3))
+    assert str(c) == "3"
+    assert str(c + WeylElement.monomial(2, PLUS, (1, 0), (0, 0), S(-1))) \
+        == "3 - t1"
+    # a several-term coefficient keeps its own sign inside the brackets
+    l1 = Scalar.param("l1")
+    x = WeylElement.monomial(2, PLUS, (1, 0), (0, 1), S(1) - l1)
+    assert str(x) == "(-l1 + 1)*t1*d2"
+    assert str(c + x) == "3 + (-l1 + 1)*t1*d2"
+    f = PolyElement(1, PLUS, {(1,): S(1) - l1, (0,): S(-2)})
+    assert str(WittElement(1, PLUS, [f])) == "-2*d1 + (-l1 + 1)*t1*d1"

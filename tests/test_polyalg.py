@@ -61,6 +61,12 @@ def test_render():
     assert render_poly(PolyElement.zero(2)) == "0"
     sym = PolyElement(1, PLUS, {(1,): Scalar.param("l1") + S(2)})
     assert render_poly(sym) == "(l1 + 2)*t1"
+    # the sign of a several-term coefficient stays inside its brackets
+    l1 = Scalar.param("l1")
+    neg = PolyElement(1, PLUS, {(1,): S(1) - l1, (0,): S(1) - l1})
+    assert render_poly(neg) == "(-l1 + 1)*t1 - l1 + 1"
+    quot = PolyElement(1, PLUS, {(1,): -l1 / (l1 - S(1))})
+    assert render_poly(quot) == "(-l1/(l1 - 1))*t1"
 
 
 def test_leibniz_randomized():
