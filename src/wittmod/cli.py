@@ -276,8 +276,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--n", type=int, default=2,
                        help="number of variables (default 2)")
-        p.add_argument("--mode", choices=(PLUS, LAURENT), default=PLUS,
-                       help="operator algebra: one- or two-sided exponents")
+        p.add_argument("--mode", choices=(PLUS, LAURENT), default=None,
+                       help="operator algebra: one- or two-sided exponents"
+                            " (default: laurent when P is two-sided)")
         p.add_argument("--P", default="Apoly",
                        help="module expression over the operator variables")
         p.add_argument("--M", default="Triv(0)",
@@ -311,8 +312,11 @@ def parse_spec(argv: Sequence[str]) -> JobSpec:
     gen_bound = ns.gen_bound if ns.gen_bound is not None else window + 1
     if gen_bound < 1:
         raise UsageError("--gen-bound must be at least 1, got %d" % gen_bound)
-    spec = JobSpec(command=ns.command, n=ns.n, mode=ns.mode,
-                   p_expr=ns.P.strip(), m_expr=ns.M.strip(),
+    p_expr = ns.P.strip()
+    # the default operator algebra is the one P admits
+    mode = ns.mode if ns.mode is not None else parse_p(p_expr, ns.n).mode
+    spec = JobSpec(command=ns.command, n=ns.n, mode=mode,
+                   p_expr=p_expr, m_expr=ns.M.strip(),
                    window=window, gen_bound=gen_bound, as_json=ns.json)
     _validate(spec)
     return spec
@@ -326,6 +330,8 @@ def _validate(spec: JobSpec) -> Tuple[WeylModule, GlModule]:
             and P.mode != LAURENT):
         raise UsageError("mode laurent invalid for P=%s (one-sided basis)"
                          % spec.p_expr)
+    if spec.mode == PLUS:
+        P.mode = PLUS  # a two-sided P restricted to W_n^+
     return P, M
 
 

@@ -615,20 +615,22 @@ class Echelon:
 
 
 def coordinate_block_intersection(vectors: Iterable[Vec],
-                                  in_block) -> List[Vec]:
-    """Basis of span(vectors) ∩ span{coordinates c with in_block(c)}.
+                                  in_block) -> Echelon:
+    """The reduced echelon form of span(vectors) ∩ span{coordinates c with
+    in_block(c)}.
 
     Coordinates outside the block are ordered first, so echelon rows led by
     a block coordinate are supported entirely inside the block; those rows
-    are exactly a basis of the intersection.
+    are exactly a basis of the intersection, and stay monic and mutually
+    reduced once the block tag is dropped.
     """
     ech = Echelon()
     for v in vectors:
         ech.add({(1 if in_block(c) else 0, c): x for c, x in v.items()})
-    out = []
+    out = Echelon()
     for lead in sorted(ech.rows):
         if lead[0] == 1:
-            out.append({c: x for (_, c), x in ech.rows[lead].items()})
+            out.rows[lead[1]] = {c: x for (_, c), x in ech.rows[lead].items()}
     return out
 
 

@@ -49,8 +49,10 @@ class GlModule:
         self._check_commutation()
 
     def _check_commutation(self) -> None:
-        n = self.n
-        for i, j, k, l in itertools.product(range(1, n + 1), repeat=4):
+        # the (k,l,i,j) relation is minus the (i,j,k,l) one, and (i,j) =
+        # (k,l) holds trivially: check each unordered pair once
+        pairs = itertools.product(range(1, self.n + 1), repeat=2)
+        for (i, j), (k, l) in itertools.combinations(pairs, 2):
             for m in range(self.dim):
                 # [E(i,j), E(k,l)] e_m - delta_jk E(i,l) e_m + delta_li E(k,j) e_m
                 diff = self.act(i, j, self.action[(k, l)][m])
@@ -112,11 +114,17 @@ def wedge_sort(seq: Sequence[int]) -> Optional[Tuple[int, Tuple[int, ...]]]:
     return sign, tuple(s)
 
 
+def wedge_basis(n: int, k: int) -> List[Tuple[int, ...]]:
+    """The basis e_S of Lambda^k C^n, indexed as in `exterior_power`: the
+    k-subsets S of 1..n in lexicographic order."""
+    return list(itertools.combinations(range(1, n + 1), k))
+
+
 def exterior_power(n: int, k: int) -> GlModule:
     """Lambda^k C^n with the derivation action on wedges."""
     if not 0 <= k <= n:
         raise ValueError("exterior power out of range: k=%d, n=%d" % (k, n))
-    basis = list(itertools.combinations(range(1, n + 1), k))
+    basis = wedge_basis(n, k)
     index = {s: a for a, s in enumerate(basis)}
     labels = ["^".join("e%d" % x for x in s) if s else "1" for s in basis]
 

@@ -1,10 +1,14 @@
 """Weyl-algebra modules on explicit bases, with level filtrations.
 
 Every provided module is a tensor product of rank-1 factors, one per
-variable.  A factor exposes the action of its t and d generators on basis
-indices, a nonnegative integer level, and (when it is a weight module) the
-eigenvalue of t d.  Module vectors are sparse dicts {index tuple: Scalar};
-all actions are exact, windows only bound basis enumeration.
+variable.  A factor's basis index k is an exponent offset: t^k, t^(lam+k)
+or x^k.  So the level of a basis index of the tensor is its L1 norm, and the
+window of level <= D is the lattice points of `exponents_within` that the
+factors accept.  A factor exposes the action of its t and d generators on
+basis indices and (when it is a weight module) the eigenvalue w of t d; on
+a weight factor d reads off the weight, d t^(lam+k) = w t^(lam+k-1).  Module
+vectors are sparse dicts {index tuple: Scalar}; all actions are exact,
+windows only bound basis enumeration.
 
 An operator t^a d_j on one basis index is a tensor product of one short
 word per factor; `WeylModule.act_index` reads those words from a table
@@ -29,7 +33,7 @@ from wittmod.exactnum import (
     ONE, Scalar, coordinate_block_intersection, vec_axpy,
 )
 from wittmod.liealg import WeylElement, WittElement
-from wittmod.polyalg import LAURENT, PLUS, MultiIndex
+from wittmod.polyalg import LAURENT, PLUS, MultiIndex, exponents_within
 
 PIndex = Tuple  # tuple of per-factor indices
 PVector = Dict  # PIndex -> Scalar
@@ -58,19 +62,15 @@ class PolyFactor:
         raise ValueError("t^-1 does not act on C[t]")
 
     def act_d(self, k: int) -> List[Term]:
-        return [(Scalar.integer(k), k - 1)] if k >= 1 else []
+        # d t^(lam+k) = w t^(lam+k-1), w the t d eigenvalue of t^(lam+k)
+        w = self.weight(k)
+        return [(w, k - 1)] if w else []
 
     def weight(self, k: int) -> Scalar:
         return Scalar.integer(k)
 
-    def level(self, k: int) -> int:
-        return k
-
-    def indices_at_level(self, l: int) -> List[int]:
-        return [l]
-
     def t_raise_bound(self, a: int) -> int:
-        return a
+        return abs(a)
 
     def d_raise_bound(self) -> int:
         return -1
@@ -94,18 +94,6 @@ class LaurentFactor(PolyFactor):
     def act_t_inv(self, k: int) -> List[Term]:
         return [(ONE, k - 1)]
 
-    def act_d(self, k: int) -> List[Term]:
-        return [(Scalar.integer(k), k - 1)] if k != 0 else []
-
-    def level(self, k: int) -> int:
-        return abs(k)
-
-    def indices_at_level(self, l: int) -> List[int]:
-        return [0] if l == 0 else [-l, l]
-
-    def t_raise_bound(self, a: int) -> int:
-        return abs(a)
-
     def d_raise_bound(self) -> int:
         return 1
 
@@ -120,9 +108,6 @@ class TwistedFactor(LaurentFactor):
             raise ValueError("twist parameter must not be an integer")
         self.lam = lam
         self.kind = "TL(%s)" % lam
-
-    def act_d(self, k: int) -> List[Term]:
-        return [(self.lam + Scalar.integer(k), k - 1)]
 
     def weight(self, k: int) -> Scalar:
         return self.lam + Scalar.integer(k)
@@ -142,18 +127,6 @@ class QuotFactor(PolyFactor):
 
     def act_t(self, k: int) -> List[Term]:
         return [(ONE, k + 1)] if k + 1 <= -1 else []
-
-    def act_d(self, k: int) -> List[Term]:
-        return [(Scalar.integer(k), k - 1)]
-
-    def weight(self, k: int) -> Scalar:
-        return Scalar.integer(k)
-
-    def level(self, k: int) -> int:
-        return -k
-
-    def indices_at_level(self, l: int) -> List[int]:
-        return [-l] if l >= 1 else []
 
     def t_raise_bound(self, a: int) -> int:
         return -a if a < 0 else 0
@@ -217,7 +190,8 @@ class WeylModule:
     """Tensor product of rank-1 factors, a module over the rank-n Weyl algebra.
 
     mode is 'laurent' when every factor admits t^-1 (so the full Laurent
-    Weyl algebra acts), else 'plus'.
+    Weyl algebra acts), else 'plus'.  Setting mode to 'plus' on a two-sided
+    module restricts the operators to nonnegative exponents (W_n^+).
     """
 
     def __init__(self, factors: Sequence, kind: Optional[str] = None):
@@ -249,7 +223,8 @@ class WeylModule:
         return all(f.valid_index(k) for f, k in zip(self.factors, idx))
 
     def level(self, idx: PIndex) -> int:
-        return sum(f.level(k) for f, k in zip(self.factors, idx))
+        """The L1 norm of idx: every factor index is an exponent offset."""
+        return sum(abs(k) for k in idx)
 
     def weight(self, idx: PIndex) -> Optional[Tuple[Scalar, ...]]:
         if not self.is_weight:
@@ -260,23 +235,11 @@ class WeylModule:
         return "*".join(f.label(k) for f, k in zip(self.factors, idx))
 
     def window_basis(self, D: int) -> List[PIndex]:
-        """All basis indices with level <= D, sorted by (level, index)."""
-        if D < 0:
-            return []
-        out: List[PIndex] = []
-
-        def rec(prefix: Tuple, budget: int, pos: int) -> None:
-            if pos == self.n:
-                out.append(prefix)
-                return
-            f = self.factors[pos]
-            for l in range(budget + 1):
-                for k in f.indices_at_level(l):
-                    rec(prefix + (k,), budget - l, pos + 1)
-
-        rec((), D, 0)
-        out.sort(key=lambda idx: (self.level(idx), idx))
-        return out
+        """All basis indices with level <= D, sorted by (level, index): the
+        lattice points of that L1 ball, already in that order, that every
+        factor accepts."""
+        return [idx for idx in exponents_within(self.n, D, LAURENT)
+                if self.valid_index(idx)]
 
     # -- generator actions on sparse vectors
 
@@ -395,7 +358,7 @@ class WeylModule:
         inner = self.window_basis(D - 1)
         inner_set = set(inner)
         inter = coordinate_block_intersection(imgs, lambda c: c in inner_set)
-        return len(inner) - len(inter)
+        return len(inner) - inter.dim
 
     def __repr__(self) -> str:
         return "WeylModule(%s, n=%d, mode=%s)" % (self.kind, self.n, self.mode)

@@ -17,7 +17,6 @@ supports, and coarse isomorphism fingerprints.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -26,7 +25,8 @@ from wittmod.exactnum import (
     kernel_basis, vec_add, vec_axpy, vec_scale, vec_sub,
 )
 from wittmod.glmod import (
-    GlModule, exterior_degree, exterior_power, highest_weight, wedge_sort,
+    GlModule, exterior_degree, exterior_power, highest_weight, wedge_basis,
+    wedge_sort,
 )
 from wittmod.liealg import WittElement, witt_bracket
 from wittmod.polyalg import MultiIndex, exponents_within, unit_index
@@ -43,10 +43,6 @@ def operators(n: int, A: int, mode: str) -> List[Tuple[MultiIndex, int]]:
     return [(alpha, j)
             for alpha in exponents_within(n, A, mode)
             for j in range(1, n + 1)]
-
-
-def _subsets(n: int, k: int) -> List[Tuple[int, ...]]:
-    return list(itertools.combinations(range(1, n + 1), k))
 
 
 def _indicator(n: int, s: Tuple[int, ...]) -> Tuple[int, ...]:
@@ -66,9 +62,9 @@ def _wedge_parts(n: int, k: int) -> List[List[Part]]:
     table = _WEDGE_PARTS.get((n, k))
     if table is None:
         zero = (0,) * n
-        dst = {s: a for a, s in enumerate(_subsets(n, k + 1))}
+        dst = {s: a for a, s in enumerate(wedge_basis(n, k + 1))}
         table = []
-        for s in _subsets(n, k):
+        for s in wedge_basis(n, k):
             parts: List[Part] = []
             for l in range(1, n + 1):
                 wedge = wedge_sort((l,) + s)
@@ -298,23 +294,21 @@ def submodule_closure(F: FPModule, seeds: Sequence[FPMVector],
     return WindowedSubspace(F, D, ech)
 
 
-def l_window(P: WeylModule, r: int, D: int, margin: int = 1) -> WindowedSubspace:
+def l_window(P: WeylModule, r: int, D: int) -> WindowedSubspace:
     """Window-D part of the image of pi_(r-1), spanned by chain-map images
-    of the level <= D+margin window; r = 0 gives the zero subspace."""
+    of the level <= D+1 window; r = 0 gives the zero subspace."""
     n = P.n
     if not 0 <= r <= n:
         raise ValueError("wedge degree out of range")
     F_r = FPModule(P, exterior_power(n, r))
-    ech = Echelon()
     if r == 0:
-        return WindowedSubspace(F_r, D, ech)
+        return WindowedSubspace(F_r, D, Echelon())
     F_prev = FPModule(P, exterior_power(n, r - 1))
     vecs = [pi_map(P, r - 1, {cell: ONE})
-            for cell in F_prev.window_basis(D + margin)]
+            for cell in F_prev.window_basis(D + 1)]
     window: Set[Cell] = set(F_r.window_basis(D))
-    for row in coordinate_block_intersection(vecs, lambda c: c in window):
-        ech.add(row)
-    return WindowedSubspace(F_r, D, ech)
+    return WindowedSubspace(
+        F_r, D, coordinate_block_intersection(vecs, lambda c: c in window))
 
 
 def _kernel_subspace(F: FPModule, D: int, cols: List[Cell],
@@ -419,7 +413,7 @@ def _homology_graded(P: WeylModule, D: int) -> HomologyTable:
     deltas: Set[Tuple[int, ...]] = set()
     window = P.window_basis(D)
     for k in range(n + 1):
-        for s in _subsets(n, k):
+        for s in wedge_basis(n, k):
             ind = _indicator(n, s)
             for pidx in window:
                 deltas.add(tuple(p + e for p, e in zip(pidx, ind)))
@@ -432,7 +426,7 @@ def _homology_graded(P: WeylModule, D: int) -> HomologyTable:
         empty = True
         for k in range(n + 1):
             lst = []
-            for a, s in enumerate(_subsets(n, k)):
+            for a, s in enumerate(wedge_basis(n, k)):
                 pidx = tuple(d - e for d, e in zip(delta, _indicator(n, s)))
                 if not P.valid_index(pidx):
                     continue
@@ -639,16 +633,18 @@ def irreducibility_report(P: WeylModule, M: GlModule, D: int,
         details.append("P is not the natural module; running saturation")
         return _saturation_report(F, D, A, details)
     if r == n:
-        # sum_partial_image_codim(D + 1) measures the level <= D window, so
-        # a residue cell at level exactly D (t1^-1...tn^-1 in Alaurent(n) or
-        # Quot(n) at D = n) is seen.
-        codim = P.sum_partial_image_codim(D + 1)
+        # pi_(n-1)(p (x) e_S) = +-(d_l p) (x) e_1..n, so the image subspace
+        # is the summed derivative image of the level <= D+1 window cut to
+        # level <= D, the one P.sum_partial_image_codim eliminates on its
+        # own; a residue cell at level exactly D (t1^-1...tn^-1 in
+        # Alaurent(n) or Quot(n) at D = n) is seen.
+        lw = l_window(P, n, D)
+        codim = len(P.window_basis(D)) - lw.dim
         details.append("summed derivative image has codimension %d in the"
                        " window" % codim)
         if codim == 0:
             return _saturation_report(F, D, A, details)
         trivial = _quotient_trivial(P, D, A, details)
-        lw = l_window(P, n, D)
         details.append("image subspace dimension %d of %d"
                        % (lw.dim, len(F.window_basis(D))))
         return IrreducibilityReport("reducible", trivial,

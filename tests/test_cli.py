@@ -65,6 +65,31 @@ def test_round_trip():
         assert parse_spec(s.render()) == s
 
 
+def test_mode_defaults_to_the_algebra_p_admits():
+    assert spec_of("irreducible", "--P", "TL(l1,l2)").mode == "laurent"
+    assert spec_of("irreducible", "--P", "Alaurent").mode == "laurent"
+    assert spec_of("irreducible", "--P", "Quot").mode == "plus"
+    assert spec_of("irreducible", "--P", "Tensor(Alaurent,Apoly)").mode == \
+        "plus"
+
+
+def test_explicit_plus_restricts_a_two_sided_p():
+    def pairs(mode):
+        rep, code = run(spec_of("verify-axioms", "--P", "Alaurent",
+                                "--M", "Nat", "--mode", mode,
+                                "--window", "1", "--gen-bound", "1"))
+        assert code == 0 and rep.certified
+        return int(re.search(r"(\d+) operator pairs", rep.details[0])
+                   .group(1))
+    assert pairs("plus") < pairs("laurent")
+    # C[t] (x) M is a W_n^+-submodule of F(Alaurent, M): no saturation
+    rep, code = run(spec_of("irreducible", "--P", "Alaurent", "--M", "Sym(2)",
+                            "--mode", "plus", "--window", "2",
+                            "--gen-bound", "2"))
+    assert code == 1 and not rep.certified
+    assert any("generated only 18 of 39" in d for d in rep.details)
+
+
 def test_parse_m_kinds():
     assert parse_m("Nat", 2).dim == 2
     assert parse_m("Ext(2)", 2).dim == 1

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from wittmod.exactnum import (
-    ONE, ExactMatrix, Scalar, Echelon, _pgcd, kernel_basis, rank, vec_axpy,
+    ONE, ExactMatrix, Scalar, Echelon, _pgcd, coordinate_block_intersection,
+    kernel_basis, rank, vec_axpy,
 )
 
 
@@ -80,6 +81,27 @@ def test_echelon_same_span():
     assert e1.same_span(e2)
     assert e1.dim == 2
     assert e1.contains({0: S(3), 1: S(7), 2: L1})
+
+
+def test_block_intersection_echelon_matches_reinserted_rows():
+    # reference: the block rows of the tagged echelon, in lead order, each
+    # added to a fresh Echelon
+    rng = random.Random(20261018)
+    for trial in range(30):
+        ncols = rng.randint(2, 9)
+        vecs = _random_matrix(rng, rng.randint(1, 8), ncols,
+                              symbolic=trial % 2 == 1).rows
+        block = set(rng.sample(range(ncols), rng.randint(1, ncols)))
+        got = coordinate_block_intersection(vecs, lambda c: c in block)
+        tagged = Echelon()
+        for v in vecs:
+            tagged.add({(c in block, c): x for c, x in v.items()})
+        ref = Echelon()
+        for lead in sorted(tagged.rows):
+            if lead[0]:
+                ref.add({c: x for (_, c), x in tagged.rows[lead].items()})
+        assert list(got.rows.items()) == list(ref.rows.items())
+        assert all(set(row) <= block for row in got.rows.values())
 
 
 def _random_matrix(rng, nr, nc, symbolic=False):

@@ -52,6 +52,32 @@ def test_window_whittaker():
     assert P.window_basis(1) == [(0, 0), (0, 1), (1, 0)]
 
 
+# The level <= 3 windows of mixed tensors, sorted by (level, index); the
+# level <= D window is the prefix of the sizes given, and the level of an
+# index is its L1 norm whatever the factor kinds.
+_MIXED_WINDOWS = [
+    ([QuotFactor(), PolyFactor()], [0, 1, 3, 6],
+     [(-1, 0), (-2, 0), (-1, 1), (-3, 0), (-2, 1), (-1, 2)]),
+    ([LaurentFactor(), WhittakerFactor(Scalar.param("l2"))], [1, 4, 9, 16],
+     [(0, 0), (-1, 0), (0, 1), (1, 0), (-2, 0), (-1, 1), (0, 2), (1, 1),
+      (2, 0), (-3, 0), (-2, 1), (-1, 2), (0, 3), (1, 2), (2, 1), (3, 0)]),
+    ([QuotFactor(), TwistedFactor(Scalar.param("m"))], [0, 1, 4, 9],
+     [(-1, 0), (-2, 0), (-1, -1), (-1, 1), (-3, 0), (-2, -1), (-2, 1),
+      (-1, -2), (-1, 2)]),
+]
+
+
+@pytest.mark.parametrize("factors, sizes, window3", _MIXED_WINDOWS,
+                         ids=["Quot,Apoly", "Alaurent,Whittaker", "Quot,TL"])
+def test_window_mixed_tensors_pinned(factors, sizes, window3):
+    P = tensor_factors(factors)
+    for D, size in enumerate(sizes):
+        win = P.window_basis(D)
+        assert win == window3[:size]
+        assert [P.level(i) for i in win] == \
+            [sum(abs(k) for k in i) for i in win]
+
+
 def test_modes_and_flags():
     assert apoly(2).mode == PLUS
     assert alaurent(2).mode == LAURENT
@@ -94,6 +120,14 @@ def test_apoly_actions():
     assert P.act_generator(("t", 2), v) == {(2, 2): ONE}
     assert P.act_witt_monomial((1, 0), 1, v) == {(2, 1): S(2)}
     assert P.act_generator(("d", 1), one_at((0, 3))) == {}
+
+
+def test_laurent_derivative_kills_constants():
+    # d 1 = 0 although t^-1 is a basis vector of C[t, t^-1]
+    P = alaurent(1)
+    assert P.act_generator(("d", 1), one_at((0,))) == {}
+    assert P.act_index((0,), (0,), 1) == {}
+    assert P.act_generator(("d", 1), one_at((-1,))) == {(-2,): S(-1)}
 
 
 def test_quot_truncation():

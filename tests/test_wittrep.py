@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 
 import pytest
 
@@ -461,6 +462,24 @@ def test_report_top_degree_branches():
         assert (rep3.verdict, rep3.branch) == ("reducible", "top-degree")
         assert rep3.certified
         assert any("codimension 1" in d for d in rep3.details)
+
+
+_TOP_CODIM_CASES = [
+    pytest.param(P, D, id="%s-n%d-D%d" % (P.kind, P.n, D))
+    for P, D in [(P, D) for P in (apoly(2), alaurent(2), laurent_quot(2),
+                                  twisted_laurent([L1, L2]),
+                                  whittaker([L1, L2]))
+                 for D in (2, 3, 4)] + [(apoly(3), 3), (alaurent(3), 3)]]
+
+
+@pytest.mark.parametrize("P, D", _TOP_CODIM_CASES)
+def test_report_top_codim_is_summed_derivative_codim(P, D):
+    # the report reads the codimension off the image of pi_(n-1); the
+    # independent route eliminates the derivatives d_k v directly
+    rep = irreducibility_report(P, exterior_power(P.n, P.n), D, 1)
+    codim = int(re.search(r"codimension (\d+) in the window",
+                          rep.details[0]).group(1))
+    assert codim == P.sum_partial_image_codim(D + 1)
 
 
 def test_report_saturation():
