@@ -1,7 +1,10 @@
 """Command-line front end: parse module expressions, run checks, report.
 
-Subcommands
------------
+Usage: `wittmod COMMAND [flags]`; the flags may come before or after the
+command, and `wittmod --help` lists them.
+
+Commands
+--------
 verify-shen    bracket-compatibility of the embedding into the toroidal algebra
 verify-axioms  Lie-action axiom on F(P, M), plus chain-map intertwining
 complex        homology table of the de Rham-style complex over P
@@ -47,8 +50,6 @@ from .wittrep import (
     weight_support,
 )
 
-COMMANDS = ("verify-shen", "verify-axioms", "complex", "irreducible",
-            "support", "fingerprint", "torsion")
 DEFAULT_WINDOW = 4
 WINDOW_ENV = "WITTMOD_WINDOW"
 
@@ -120,6 +121,25 @@ class Report:
 # expression parsing
 # ---------------------------------------------------------------------------
 
+def _split_top(text: str, sep: str, expr: str) -> List[str]:
+    """Split `text` at each `sep` outside parentheses; parts are stripped."""
+    parts, start, depth = [], 0, 0
+    for i, ch in enumerate(text):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+            if depth < 0:
+                break
+        elif ch == sep and depth == 0:
+            parts.append(text[start:i].strip())
+            start = i + 1
+    if depth != 0:
+        raise UsageError("unbalanced parentheses in %r" % expr)
+    parts.append(text[start:].strip())
+    return parts
+
+
 def _split_call(expr: str) -> Tuple[str, Optional[List[str]]]:
     """`Head` or `Head(a,b,...)` with top-level comma splitting."""
     expr = expr.strip()
@@ -130,24 +150,8 @@ def _split_call(expr: str) -> Tuple[str, Optional[List[str]]]:
     head, rest = expr.split("(", 1)
     if not rest.endswith(")"):
         raise UsageError("unbalanced parentheses in %r" % expr)
-    body = rest[:-1]
-    args, cur, depth = [], [], 0
-    for ch in body:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise UsageError("unbalanced parentheses in %r" % expr)
-        if ch == "," and depth == 0:
-            args.append("".join(cur).strip())
-            cur = []
-        else:
-            cur.append(ch)
-    if depth != 0:
-        raise UsageError("unbalanced parentheses in %r" % expr)
-    args.append("".join(cur).strip())
-    if any(not a for a in args):
+    args = _split_top(rest[:-1], ",", expr)
+    if not all(args):
         raise UsageError("empty argument in %r" % expr)
     return head.strip(), args
 
@@ -216,26 +220,10 @@ def parse_p(expr: str, n: int) -> WeylModule:
     raise UsageError("unknown P kind %r" % expr)
 
 
-def _split_tensor(expr: str) -> List[str]:
-    parts, cur, depth = [], [], 0
-    for ch in expr:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == "*" and depth == 0:
-            parts.append("".join(cur).strip())
-            cur = []
-        else:
-            cur.append(ch)
-    parts.append("".join(cur).strip())
-    if any(not p for p in parts):
-        raise UsageError("malformed tensor expression %r" % expr)
-    return parts
-
-
 def parse_m(expr: str, n: int) -> GlModule:
-    factors = _split_tensor(expr)
+    factors = _split_top(expr, "*", expr)
+    if not all(factors):
+        raise UsageError("malformed tensor expression %r" % expr)
     out = None
     for tok in factors:
         head, args = _split_call(tok)
@@ -269,31 +257,30 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    top = _Parser(prog="wittmod", description=__doc__.splitlines()[0])
-    sub = top.add_subparsers(dest="command", metavar="COMMAND")
-    sub.required = True
-    for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--n", type=int, default=2,
-                       help="number of variables (default 2)")
-        p.add_argument("--mode", choices=(PLUS, LAURENT), default=None,
-                       help="operator algebra: one- or two-sided exponents"
-                            " (default: laurent when P is two-sided)")
-        p.add_argument("--P", default="Apoly",
-                       help="module expression over the operator variables")
-        p.add_argument("--M", default="Triv(0)",
-                       help="matrix-part module expression")
-        p.add_argument("--window", type=int, default=None,
-                       help="window depth D (default %d, or $%s)"
-                            % (DEFAULT_WINDOW, WINDOW_ENV))
-        p.add_argument("--gen-bound", type=int, default=None,
-                       help="operator degree bound A (default D+1)")
-        p.add_argument("--json", action="store_true",
-                       help="emit a machine-readable report")
-    return top
+    p = _Parser(prog="wittmod", description=__doc__.splitlines()[0])
+    p.add_argument("command", choices=COMMANDS, metavar="COMMAND",
+                   help="one of: %s" % ", ".join(COMMANDS))
+    p.add_argument("--n", type=int, default=2,
+                   help="number of variables (default 2)")
+    p.add_argument("--mode", choices=(PLUS, LAURENT), default=None,
+                   help="operator algebra: one- or two-sided exponents"
+                        " (default: laurent when P is two-sided)")
+    p.add_argument("--P", default="Apoly",
+                   help="module expression over the operator variables")
+    p.add_argument("--M", default="Triv(0)",
+                   help="matrix-part module expression")
+    p.add_argument("--window", type=int, default=None,
+                   help="window depth D (default %d, or $%s)"
+                        % (DEFAULT_WINDOW, WINDOW_ENV))
+    p.add_argument("--gen-bound", type=int, default=None,
+                   help="operator degree bound A (default D+1)")
+    p.add_argument("--json", action="store_true",
+                   help="emit a machine-readable report")
+    return p
 
 
 def parse_spec(argv: Sequence[str]) -> JobSpec:
+    """Flags to a JobSpec; checks P and the mode, while M is built by run."""
     ns = _build_parser().parse_args(list(argv))
     if ns.n < 2:
         raise UsageError("--n must be at least 2, got %d" % ns.n)
@@ -313,26 +300,16 @@ def parse_spec(argv: Sequence[str]) -> JobSpec:
     if gen_bound < 1:
         raise UsageError("--gen-bound must be at least 1, got %d" % gen_bound)
     p_expr = ns.P.strip()
+    P = parse_p(p_expr, ns.n)
     # the default operator algebra is the one P admits
-    mode = ns.mode if ns.mode is not None else parse_p(p_expr, ns.n).mode
-    spec = JobSpec(command=ns.command, n=ns.n, mode=mode,
+    mode = ns.mode if ns.mode is not None else P.mode
+    # verify-shen works in the operator algebra alone, so any mode stands
+    if ns.command != "verify-shen" and mode == LAURENT and P.mode != LAURENT:
+        raise UsageError("mode laurent invalid for P=%s (one-sided basis)"
+                         % p_expr)
+    return JobSpec(command=ns.command, n=ns.n, mode=mode,
                    p_expr=p_expr, m_expr=ns.M.strip(),
                    window=window, gen_bound=gen_bound, as_json=ns.json)
-    _validate(spec)
-    return spec
-
-
-def _validate(spec: JobSpec) -> Tuple[WeylModule, GlModule]:
-    P = parse_p(spec.p_expr, spec.n)
-    M = parse_m(spec.m_expr, spec.n)
-    # verify-shen works in the operator algebra alone, so any mode stands
-    if (spec.command != "verify-shen" and spec.mode == LAURENT
-            and P.mode != LAURENT):
-        raise UsageError("mode laurent invalid for P=%s (one-sided basis)"
-                         % spec.p_expr)
-    if spec.mode == PLUS:
-        P.mode = PLUS  # a two-sided P restricted to W_n^+
-    return P, M
 
 
 # ---------------------------------------------------------------------------
@@ -455,11 +432,14 @@ _BODIES = {
     "fingerprint": _run_fingerprint,
     "torsion": _run_torsion,
 }
+COMMANDS = tuple(_BODIES)
 
 
 def run(spec: JobSpec) -> Tuple[Report, int]:
     """Execute a job; returns the report and the process exit code."""
-    P, M = _validate(spec)
+    P, M = parse_p(spec.p_expr, spec.n), parse_m(spec.m_expr, spec.n)
+    if spec.mode == PLUS:
+        P.mode = PLUS  # a two-sided P restricted to W_n^+
     start = time.monotonic()
     try:
         verdict, certified, details, ok = _BODIES[spec.command](spec, P, M)

@@ -446,10 +446,6 @@ class Scalar:
             return NotImplemented
         return self.num == other.num and self.den == other.den
 
-    def __ne__(self, other) -> bool:
-        r = self.__eq__(other)
-        return NotImplemented if r is NotImplemented else not r
-
     def __hash__(self) -> int:
         if self._hash is None:
             self._hash = hash((frozenset(self.num.items()),

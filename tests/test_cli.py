@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from wittmod.cli import (
-    JobSpec, UsageError, main, parse_m, parse_p, parse_spec, run,
+    COMMANDS, JobSpec, UsageError, main, parse_m, parse_p, parse_spec, run,
 )
 from wittmod.exactnum import Scalar
 
@@ -134,6 +134,55 @@ def test_parse_errors_name_offender():
         spec_of("verify-axioms", "--mode", "laurent", "--P", "Whittaker(1,2)")
 
 
+def test_command_is_required_and_checked():
+    for argv in ([], ["--json"]):
+        with pytest.raises(UsageError, match="required: COMMAND"):
+            parse_spec(argv)
+    with pytest.raises(UsageError, match="invalid choice: 'bogus'"):
+        spec_of("bogus")
+
+
+def test_help_lists_commands_and_flags(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    for word in COMMANDS + ("--n", "--mode", "--P", "--M", "--window",
+                            "--gen-bound", "--json"):
+        assert word in out
+
+
+def test_every_command_takes_every_flag():
+    flags = ["--n", "3", "--mode", "laurent", "--P", "Alaurent",
+             "--M", "Ext(1)", "--window", "2", "--gen-bound", "3", "--json"]
+    for name in COMMANDS:
+        assert spec_of(name, *flags) == \
+            JobSpec(name, 3, "laurent", "Alaurent", "Ext(1)", 2, 3, True)
+
+
+def test_flags_may_precede_the_command():
+    after = spec_of("irreducible", "--n", "3", "--P", "Apoly",
+                    "--M", "Ext(1)", "--window", "2")
+    assert spec_of("--n", "3", "--P", "Apoly", "--M", "Ext(1)",
+                   "--window", "2", "irreducible") == after
+    assert spec_of("--n", "3", "irreducible", "--P", "Apoly",
+                   "--M", "Ext(1)", "--window", "2") == after
+
+
+@pytest.mark.parametrize("parse, expr, message", [
+    (parse_p, "TL(l1,)", "empty argument in 'TL(l1,)'"),
+    (parse_p, "Tensor()", "empty argument in 'Tensor()'"),
+    (parse_p, "TL(l1,l2))", "unbalanced parentheses in 'TL(l1,l2))'"),
+    (parse_m, "Sym(2)Nat", "unbalanced parentheses in 'Sym(2)Nat'"),
+    (parse_m, "Nat*", "malformed tensor expression 'Nat*'"),
+    (parse_m, "Nat**Nat", "malformed tensor expression 'Nat**Nat'"),
+])
+def test_splitter_messages(parse, expr, message):
+    with pytest.raises(UsageError) as exc:
+        parse(expr, 2)
+    assert str(exc.value) == message
+
+
 # ---------------------------------------------------------------------------
 # dispatch and reports
 # ---------------------------------------------------------------------------
@@ -217,6 +266,22 @@ def test_readme_irreducible_example(capsys):
         return [line for line in text.splitlines()
                 if not line.startswith("elapsed:")]
     assert body(out) == body(block)
+
+
+def test_readme_cli_examples(capsys):
+    # every line of README's command-line block runs and certifies its
+    # verdict, and every command has a line
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Command-line interface", 1)[1]
+    lines = block.split("```sh\n", 1)[1].split("```", 1)[0].splitlines()
+    shown = set()
+    for line in lines:
+        argv = shlex.split(line.split("#", 1)[0])
+        assert argv[0] == "wittmod"
+        assert main(argv[1:]) == 0, line
+        assert "[certified]" in capsys.readouterr().out, line
+        shown.add(argv[1])
+    assert shown == set(COMMANDS)
 
 
 def test_readme_quick_start():

@@ -33,6 +33,14 @@ def test_canonical_reduction():
     assert a == b and hash(a) == hash(b)
 
 
+def test_not_equal_follows_equality():
+    assert not (S(2) != Scalar.rational(4, 2)) and L1 != L2
+    assert not (S(3) != 3) and not (3 != S(3)) and S(3) != 4 and 4 != S(3)
+    # an unrelated operand compares unequal instead of raising
+    assert S(1) != "1" and "1" != S(1)
+    assert S(1).__ne__("1") is NotImplemented
+
+
 def test_zero_divisor():
     with pytest.raises(ZeroDivisionError, match="zero divisor"):
         S(1) / S(0)
