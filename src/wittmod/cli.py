@@ -280,7 +280,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def parse_spec(argv: Sequence[str]) -> JobSpec:
-    """Flags to a JobSpec; checks P and the mode, while M is built by run."""
+    """Flags to a JobSpec; checks P and the mode, while M is built by run
+    for the commands that read it."""
     ns = _build_parser().parse_args(list(argv))
     if ns.n < 2:
         raise UsageError("--n must be at least 2, got %d" % ns.n)
@@ -433,11 +434,14 @@ _BODIES = {
     "torsion": _run_torsion,
 }
 COMMANDS = tuple(_BODIES)
+# the commands whose body never reads M, so --M is not built for them
+_IGNORES_M = ("verify-shen", "complex")
 
 
 def run(spec: JobSpec) -> Tuple[Report, int]:
     """Execute a job; returns the report and the process exit code."""
-    P, M = parse_p(spec.p_expr, spec.n), parse_m(spec.m_expr, spec.n)
+    P = parse_p(spec.p_expr, spec.n)
+    M = None if spec.command in _IGNORES_M else parse_m(spec.m_expr, spec.n)
     if spec.mode == PLUS:
         P.mode = PLUS  # a two-sided P restricted to W_n^+
     start = time.monotonic()

@@ -531,10 +531,6 @@ def vec_axpy(out: Vec, terms: Iterable[Tuple[object, Scalar]],
     return out
 
 
-def vec_add(u: Vec, v: Vec) -> Vec:
-    return vec_axpy(dict(u), v.items())
-
-
 def vec_scale(u: Vec, a: Scalar) -> Vec:
     return {} if a.is_zero() else vec_axpy({}, u.items(), a)
 

@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from wittmod.exactnum import (
     Echelon, ExactMatrix, ONE, Scalar, coordinate_block_intersection,
-    kernel_basis, vec_add, vec_axpy, vec_scale, vec_sub,
+    kernel_basis, vec_axpy, vec_scale, vec_sub,
 )
 from wittmod.glmod import (
     GlModule, exterior_degree, exterior_power, highest_weight, wedge_basis,
@@ -176,6 +176,22 @@ def pi_map(P: WeylModule, k: int, vec: FPMVector) -> FPMVector:
     return out
 
 
+def _pi_images(P: WeylModule, k: int,
+               cells: Sequence[Cell]) -> List[FPMVector]:
+    """pi_k of each basis cell in `cells`, in order: the one list the image
+    subspaces, kernels and homology ranks are computed from."""
+    return [pi_map(P, k, {cell: ONE}) for cell in cells]
+
+
+def _pi_rank(P: WeylModule, k: int, cells: Sequence[Cell]) -> int:
+    """The rank of pi_k on the span of `cells`."""
+    ech = Echelon()
+    for img in _pi_images(P, k, cells):
+        if img:
+            ech.add(img)
+    return ech.dim
+
+
 def torsion_operator(F: FPModule, l: int, i: int, j: int,
                      alpha: MultiIndex, v: FPMVector) -> FPMVector:
     """The m^2-coefficient of m -> (t^(m e_l) d_i)((t^(alpha+(2-m)e_l) d_j) v),
@@ -188,8 +204,8 @@ def torsion_operator(F: FPModule, l: int, i: int, j: int,
         outer = tuple(m * e for e in el)
         return F.act(outer, i, F.act(first, j, v))
 
-    num = vec_add(f(0), vec_sub(f(2), vec_scale(f(1), Scalar.integer(2))))
-    return vec_scale(num, Scalar.rational(1, 2))
+    num = vec_axpy(f(0), f(1).items(), Scalar.integer(-2))
+    return vec_scale(vec_axpy(num, f(2).items()), Scalar.rational(1, 2))
 
 
 def torsion_expected(F: FPModule, l: int, i: int, j: int,
@@ -304,17 +320,22 @@ def l_window(P: WeylModule, r: int, D: int) -> WindowedSubspace:
     if r == 0:
         return WindowedSubspace(F_r, D, Echelon())
     F_prev = FPModule(P, exterior_power(n, r - 1))
-    vecs = [pi_map(P, r - 1, {cell: ONE})
-            for cell in F_prev.window_basis(D + 1)]
+    vecs = _pi_images(P, r - 1, F_prev.window_basis(D + 1))
     window: Set[Cell] = set(F_r.window_basis(D))
     return WindowedSubspace(
         F_r, D, coordinate_block_intersection(vecs, lambda c: c in window))
 
 
 def _kernel_subspace(F: FPModule, D: int, cols: List[Cell],
-                     rows: Dict) -> WindowedSubspace:
-    """The combinations of the window cells `cols` on which every sparse row
-    {column index: Scalar} of `rows` vanishes, rows taken in key order."""
+                     images: Sequence[Dict]) -> WindowedSubspace:
+    """The kernel of the linear map sending the window cell cols[i] to the
+    sparse vector images[i], whose keys are any sortable row labels: the
+    images are the columns of the matrix handed to `kernel_basis`, its rows
+    taken in key order."""
+    rows: Dict[object, Dict[int, Scalar]] = {}
+    for ci, img in enumerate(images):
+        for key, x in img.items():
+            rows.setdefault(key, {})[ci] = x
     mat = ExactMatrix(len(rows), len(cols), [rows[k] for k in sorted(rows)])
     ech = Echelon()
     for kv in kernel_basis(mat):
@@ -330,11 +351,7 @@ def kernel_window(P: WeylModule, r: int, D: int) -> WindowedSubspace:
         raise ValueError("top degree")
     F_r = FPModule(P, exterior_power(n, r))
     cols = F_r.window_basis(D)
-    rows: Dict[Cell, Dict[int, Scalar]] = {}
-    for ci, cell in enumerate(cols):
-        for oc, x in pi_map(P, r, {cell: ONE}).items():
-            rows.setdefault(oc, {})[ci] = x
-    return _kernel_subspace(F_r, D, cols, rows)
+    return _kernel_subspace(F_r, D, cols, _pi_images(P, r, cols))
 
 
 def ltilde_window(P: WeylModule, r: int, D: int, A: int) -> WindowedSubspace:
@@ -349,17 +366,17 @@ def ltilde_window(P: WeylModule, r: int, D: int, A: int) -> WindowedSubspace:
     cols = F_r.window_basis(D)
     ops = operators(n, A, P.mode)
     deep: Dict[int, WindowedSubspace] = {}
-    rows: Dict[Tuple[int, Cell], Dict[int, Scalar]] = {}
+    # per cell, {(operator index, out-cell): residual mod the image window}
+    images: List[Dict[Tuple[int, Cell], Scalar]] = [{} for _ in cols]
     for oi, (alpha, j) in enumerate(ops):
         dprime = D + max(0, P.op_raise_bound(alpha, j))
         if dprime not in deep:
             deep[dprime] = l_window(P, r, dprime)
         lw = deep[dprime]
-        for ci, cell in enumerate(cols):
-            img = F_r.act_cell(tuple(alpha), j, cell)
-            for oc, x in lw.residual(img).items():
-                rows.setdefault((oi, oc), {})[ci] = x
-    return _kernel_subspace(F_r, D, cols, rows)
+        for img, cell in zip(images, cols):
+            res = lw.residual(F_r.act_cell(tuple(alpha), j, cell))
+            img.update(((oi, oc), x) for oc, x in res.items())
+    return _kernel_subspace(F_r, D, cols, images)
 
 
 def interior_invariant(sub: WindowedSubspace, bound: int = 3) -> bool:
@@ -410,55 +427,29 @@ def complex_homology(P: WeylModule, D: int) -> HomologyTable:
 
 def _homology_graded(P: WeylModule, D: int) -> HomologyTable:
     n = P.n
-    deltas: Set[Tuple[int, ...]] = set()
     window = P.window_basis(D)
-    for k in range(n + 1):
-        for s in wedge_basis(n, k):
-            ind = _indicator(n, s)
-            for pidx in window:
-                deltas.add(tuple(p + e for p, e in zip(pidx, ind)))
+    deltas = {tuple(p + e for p, e in zip(pidx, _indicator(n, s)))
+              for k in range(n + 1) for s in wedge_basis(n, k)
+              for pidx in window}
     table: Dict[Tuple[int, Optional[int]], int] = {}
     excluded = 0
     for delta in sorted(deltas):
         # k -> the cells (P-index, index of S in Ext(k)) of this multidegree
-        cells: Dict[int, List[Cell]] = {}
-        ok = True
-        empty = True
+        cells: List[List[Cell]] = []
         for k in range(n + 1):
-            lst = []
-            for a, s in enumerate(wedge_basis(n, k)):
-                pidx = tuple(d - e for d, e in zip(delta, _indicator(n, s)))
-                if not P.valid_index(pidx):
-                    continue
-                if P.level(pidx) > D:
-                    ok = False
-                    break
-                lst.append((pidx, a))
-            if not ok:
-                break
-            cells[k] = lst
-            empty = empty and not lst
-        if not ok:
+            shifted = [(tuple(d - e for d, e in zip(delta, _indicator(n, s))),
+                        a) for a, s in enumerate(wedge_basis(n, k))]
+            cells.append([c for c in shifted if P.valid_index(c[0])])
+        if any(P.level(c[0]) > D for lst in cells for c in lst):
             excluded += 1
             continue
-        if empty:
-            continue
-        q = sum(delta)
-        ranks: Dict[int, int] = {}
-        for k in range(n):
-            ech = Echelon()
-            for cell in cells[k]:
-                img = pi_map(P, k, {cell: ONE})
-                if img:
-                    ech.add(img)
-            ranks[k] = ech.dim
-        for k in range(n + 1):
-            ck = len(cells[k])
-            if ck == 0:
-                continue
-            hk = ck - ranks.get(k, 0) - ranks.get(k - 1, 0)
-            key = (k, q)
-            table[key] = table.get(key, 0) + hk
+        # ranks[-1] = ranks[n] = 0: pi_(-1) and pi_n are zero
+        ranks = [_pi_rank(P, k, cells[k]) for k in range(n)] + [0]
+        for k, lst in enumerate(cells):
+            if lst:
+                key = (k, sum(delta))
+                table[key] = (table.get(key, 0) + len(lst) - ranks[k]
+                              - ranks[k - 1])
     return HomologyTable(table, excluded, True)
 
 
@@ -466,19 +457,9 @@ def _homology_window(P: WeylModule, D: int) -> HomologyTable:
     n = P.n
     table: Dict[Tuple[int, Optional[int]], int] = {}
     for r in range(n + 1):
-        F_r = FPModule(P, exterior_power(n, r))
-        cols = F_r.window_basis(D)
-        if r <= n - 1:
-            ech = Echelon()
-            for cell in cols:
-                img = pi_map(P, r, {cell: ONE})
-                if img:
-                    ech.add(img)
-            ker = len(cols) - ech.dim
-        else:
-            ker = len(cols)
-        im = l_window(P, r, D).dim if r >= 1 else 0
-        table[(r, None)] = ker - im
+        cols = FPModule(P, exterior_power(n, r)).window_basis(D)
+        ker = len(cols) - (_pi_rank(P, r, cols) if r < n else 0)
+        table[(r, None)] = ker - l_window(P, r, D).dim
     return HomologyTable(table, 0, False)
 
 
@@ -508,9 +489,6 @@ class Fingerprint:
 
     kind: str
     entries: Tuple[Tuple[str, int], ...]
-
-    def as_dict(self) -> Dict[str, int]:
-        return dict(self.entries)
 
 
 def fingerprint(P: WeylModule, M: GlModule, D: int) -> Fingerprint:

@@ -235,6 +235,23 @@ def test_json_schema_and_determinism(capsys):
     assert d1 == d2
 
 
+@pytest.mark.parametrize("argv, m_expr", [
+    (["verify-shen", "--gen-bound", "1"], "Ext(5)"),
+    (["complex", "--window", "2"], "Spin(2)"),
+])
+def test_commands_that_ignore_m_accept_any_m(capsys, argv, m_expr):
+    # verify-shen and complex never read M, so a bad --M must not stop them
+    reports = []
+    for extra in ([], ["--M", m_expr]):
+        assert main(argv + extra + ["--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        doc.pop("elapsedMs")
+        reports.append(doc)
+    assert reports[1].pop("M") == m_expr
+    reports[0].pop("M")
+    assert reports[0] == reports[1]
+
+
 def test_main_exit_codes(capsys):
     assert main(["irreducible", "--P", "Apoly", "--M", "Ext(5)"]) == 2
     assert "Ext(5) invalid for n=2" in capsys.readouterr().err

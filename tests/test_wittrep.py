@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from wittmod.cli import main
+from wittmod.cli import main, parse_p
 from wittmod.exactnum import ONE, Scalar, vec_axpy, vec_sub, vec_clean
 from wittmod.glmod import (
     exterior_power, natural_module, scalar_module, sym_power, tensor_module,
@@ -351,6 +351,17 @@ def test_ltilde_equals_kernel():
         assert lt.same_span(kw), r
 
 
+@pytest.mark.parametrize("expr, r, dim", [
+    ("Quot", 0, 0), ("Quot", 1, 0), ("TL(l1,l2)", 0, 0), ("TL(l1,l2)", 1, 8),
+    ("Whittaker(l1,l2)", 0, 0), ("Whittaker(l1,l2)", 1, 3)])
+def test_ltilde_equals_kernel_beyond_apoly(expr, r, dim):
+    P = parse_p(expr, 2)
+    lt = ltilde_window(P, r, 2, 3)
+    kw = kernel_window(P, r, 2)
+    assert (lt.dim, kw.dim) == (dim, dim)
+    assert lt.same_span(kw)
+
+
 def test_membership_identities_mod_l():
     # (a) sum_k (d_k p) (x) E(k,j) w lies in the image subspace;
     # (b) t^g d_j (p (x) w) is congruent mod it to
@@ -416,6 +427,93 @@ def test_homology_whittaker_fallback():
     h = complex_homology(whittaker([L1]), 4)
     assert not h.graded
     assert h.table == {(0, None): 0, (1, None): 1}
+
+
+# (P, n, D, excluded, graded, table): every entry, zeros included
+_HOMOLOGY_PINNED = [
+    ("Apoly", 2, 2, 7, True, {
+        (0, 0): 1, (0, 1): 0, (0, 2): 0, (1, 1): 0, (1, 2): 0, (2, 2): 0}),
+    ("Apoly", 2, 3, 9, True, {
+        (0, 0): 1, (0, 1): 0, (0, 2): 0, (0, 3): 0, (1, 1): 0, (1, 2): 0,
+        (1, 3): 0, (2, 2): 0, (2, 3): 0}),
+    ("Apoly", 2, 4, 11, True, {
+        (0, 0): 1, (0, 1): 0, (0, 2): 0, (0, 3): 0, (0, 4): 0, (1, 1): 0,
+        (1, 2): 0, (1, 3): 0, (1, 4): 0, (2, 2): 0, (2, 3): 0, (2, 4): 0}),
+    ("Alaurent", 2, 2, 20, True, {
+        (0, 0): 1, (0, 1): 0, (0, 2): 0, (1, 0): 2, (1, 1): 0, (1, 2): 0,
+        (2, 0): 1, (2, 1): 0, (2, 2): 0}),
+    ("Alaurent", 2, 3, 28, True, {
+        (0, -1): 0, (0, 0): 1, (0, 1): 0, (0, 2): 0, (0, 3): 0, (1, -1): 0,
+        (1, 0): 2, (1, 1): 0, (1, 2): 0, (1, 3): 0, (2, -1): 0, (2, 0): 1,
+        (2, 1): 0, (2, 2): 0, (2, 3): 0}),
+    ("Alaurent", 2, 4, 36, True, {
+        (0, -2): 0, (0, -1): 0, (0, 0): 1, (0, 1): 0, (0, 2): 0, (0, 3): 0,
+        (0, 4): 0, (1, -2): 0, (1, -1): 0, (1, 0): 2, (1, 1): 0, (1, 2): 0,
+        (1, 3): 0, (1, 4): 0, (2, -2): 0, (2, -1): 0, (2, 0): 1, (2, 1): 0,
+        (2, 2): 0, (2, 3): 0, (2, 4): 0}),
+    ("Quot", 2, 2, 3, True, {(2, 0): 1}),
+    ("Quot", 2, 3, 5, True, {(1, -1): 0, (2, -1): 0, (2, 0): 1}),
+    ("Quot", 2, 4, 7, True, {
+        (0, -2): 0, (1, -2): 0, (1, -1): 0, (2, -2): 0, (2, -1): 0,
+        (2, 0): 1}),
+    ("TL(l1,l2)", 2, 2, 20, True, {
+        (0, 0): 0, (0, 1): 0, (0, 2): 0, (1, 0): 0, (1, 1): 0, (1, 2): 0,
+        (2, 0): 0, (2, 1): 0, (2, 2): 0}),
+    ("TL(l1,l2)", 2, 3, 28, True, {
+        (0, -1): 0, (0, 0): 0, (0, 1): 0, (0, 2): 0, (0, 3): 0, (1, -1): 0,
+        (1, 0): 0, (1, 1): 0, (1, 2): 0, (1, 3): 0, (2, -1): 0, (2, 0): 0,
+        (2, 1): 0, (2, 2): 0, (2, 3): 0}),
+    ("TL(l1,l2)", 2, 4, 36, True, {
+        (0, -2): 0, (0, -1): 0, (0, 0): 0, (0, 1): 0, (0, 2): 0, (0, 3): 0,
+        (0, 4): 0, (1, -2): 0, (1, -1): 0, (1, 0): 0, (1, 1): 0, (1, 2): 0,
+        (1, 3): 0, (1, 4): 0, (2, -2): 0, (2, -1): 0, (2, 0): 0, (2, 1): 0,
+        (2, 2): 0, (2, 3): 0, (2, 4): 0}),
+    ("Whittaker(l1,l2)", 2, 2, 0, False, {
+        (0, None): 0, (1, None): 0, (2, None): 1}),
+    ("Whittaker(l1,l2)", 2, 3, 0, False, {
+        (0, None): 0, (1, None): 0, (2, None): 1}),
+    ("Whittaker(l1,l2)", 2, 4, 0, False, {
+        (0, None): 0, (1, None): 0, (2, None): 1}),
+    ("Apoly", 3, 2, 28, True, {
+        (0, 0): 1, (0, 1): 0, (0, 2): 0, (1, 1): 0, (1, 2): 0, (2, 2): 0}),
+    ("Apoly", 3, 3, 43, True, {
+        (0, 0): 1, (0, 1): 0, (0, 2): 0, (0, 3): 0, (1, 1): 0, (1, 2): 0,
+        (1, 3): 0, (2, 2): 0, (2, 3): 0, (3, 3): 0}),
+    ("Alaurent", 3, 2, 80, True, {}),
+    ("Alaurent", 3, 3, 152, True, {
+        (0, 0): 1, (0, 1): 0, (0, 2): 0, (0, 3): 0, (1, 0): 3, (1, 1): 0,
+        (1, 2): 0, (1, 3): 0, (2, 0): 3, (2, 1): 0, (2, 2): 0, (2, 3): 0,
+        (3, 0): 1, (3, 1): 0, (3, 2): 0, (3, 3): 0}),
+    ("Tensor(Quot,Apoly)", 2, 2, 5, True, {
+        (0, -1): 0, (1, -1): 0, (1, 0): 1, (1, 1): 0, (2, 1): 0}),
+    ("Tensor(Quot,Apoly)", 2, 3, 7, True, {
+        (0, -2): 0, (0, -1): 0, (0, 0): 0, (1, -2): 0, (1, -1): 0, (1, 0): 1,
+        (1, 1): 0, (1, 2): 0, (2, 0): 0, (2, 1): 0, (2, 2): 0}),
+    ("Tensor(Quot,Apoly)", 2, 4, 9, True, {
+        (0, -3): 0, (0, -2): 0, (0, -1): 0, (0, 0): 0, (0, 1): 0, (1, -3): 0,
+        (1, -2): 0, (1, -1): 0, (1, 0): 1, (1, 1): 0, (1, 2): 0, (1, 3): 0,
+        (2, -1): 0, (2, 0): 0, (2, 1): 0, (2, 2): 0, (2, 3): 0}),
+    ("Tensor(Alaurent,Apoly)", 2, 2, 12, True, {
+        (0, -1): 0, (0, 0): 1, (0, 1): 0, (0, 2): 0, (1, -1): 0, (1, 0): 1,
+        (1, 1): 0, (1, 2): 0, (2, 1): 0, (2, 2): 0}),
+    ("Tensor(Alaurent,Apoly)", 2, 3, 16, True, {
+        (0, -2): 0, (0, -1): 0, (0, 0): 1, (0, 1): 0, (0, 2): 0, (0, 3): 0,
+        (1, -2): 0, (1, -1): 0, (1, 0): 1, (1, 1): 0, (1, 2): 0, (1, 3): 0,
+        (2, 0): 0, (2, 1): 0, (2, 2): 0, (2, 3): 0}),
+    ("Tensor(Alaurent,Apoly)", 2, 4, 20, True, {
+        (0, -3): 0, (0, -2): 0, (0, -1): 0, (0, 0): 1, (0, 1): 0, (0, 2): 0,
+        (0, 3): 0, (0, 4): 0, (1, -3): 0, (1, -2): 0, (1, -1): 0, (1, 0): 1,
+        (1, 1): 0, (1, 2): 0, (1, 3): 0, (1, 4): 0, (2, -1): 0, (2, 0): 0,
+        (2, 1): 0, (2, 2): 0, (2, 3): 0, (2, 4): 0}),
+]
+
+
+@pytest.mark.parametrize(
+    "expr, n, D, excluded, graded, table", _HOMOLOGY_PINNED,
+    ids=["%s-n%d-D%d" % case[:3] for case in _HOMOLOGY_PINNED])
+def test_homology_tables_pinned(expr, n, D, excluded, graded, table):
+    h = complex_homology(parse_p(expr, n), D)
+    assert (h.table, h.excluded, h.graded) == (table, excluded, graded)
 
 
 def test_homology_rejects_tiny_window():
