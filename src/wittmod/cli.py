@@ -6,6 +6,7 @@ command, and `wittmod --help` lists them.
 Commands
 --------
 verify-shen    bracket-compatibility of the embedding into the toroidal algebra
+               (reads neither P nor M)
 verify-axioms  Lie-action axiom on F(P, M), plus chain-map intertwining
 complex        homology table of the de Rham-style complex over P
 irreducible    windowed irreducibility/reducibility report for F(P, M)
@@ -264,11 +265,14 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="number of variables (default 2)")
     p.add_argument("--mode", choices=(PLUS, LAURENT), default=None,
                    help="operator algebra: one- or two-sided exponents"
-                        " (default: laurent when P is two-sided)")
+                        " (default: laurent when P is two-sided; plus for"
+                        " verify-shen, which reads no P)")
     p.add_argument("--P", default="Apoly",
-                   help="module expression over the operator variables")
+                   help="module expression over the operator variables"
+                        " (not read by verify-shen)")
     p.add_argument("--M", default="Triv(0)",
-                   help="matrix-part module expression")
+                   help="matrix-part module expression (not read by"
+                        " verify-shen or complex)")
     p.add_argument("--window", type=int, default=None,
                    help="window depth D (default %d, or $%s)"
                         % (DEFAULT_WINDOW, WINDOW_ENV))
@@ -280,8 +284,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def parse_spec(argv: Sequence[str]) -> JobSpec:
-    """Flags to a JobSpec; checks P and the mode, while M is built by run
-    for the commands that read it."""
+    """Flags to a JobSpec; checks P and the mode for the commands that read
+    P, while M is built by run for the commands that read it."""
     ns = _build_parser().parse_args(list(argv))
     if ns.n < 2:
         raise UsageError("--n must be at least 2, got %d" % ns.n)
@@ -301,13 +305,17 @@ def parse_spec(argv: Sequence[str]) -> JobSpec:
     if gen_bound < 1:
         raise UsageError("--gen-bound must be at least 1, got %d" % gen_bound)
     p_expr = ns.P.strip()
-    P = parse_p(p_expr, ns.n)
-    # the default operator algebra is the one P admits
-    mode = ns.mode if ns.mode is not None else P.mode
-    # verify-shen works in the operator algebra alone, so any mode stands
-    if ns.command != "verify-shen" and mode == LAURENT and P.mode != LAURENT:
-        raise UsageError("mode laurent invalid for P=%s (one-sided basis)"
-                         % p_expr)
+    if ns.command in _IGNORES_P:
+        # the operator algebra alone, so any mode stands; the default is
+        # the one-sided algebra
+        mode = ns.mode if ns.mode is not None else PLUS
+    else:
+        P = parse_p(p_expr, ns.n)
+        # the default operator algebra is the one P admits
+        mode = ns.mode if ns.mode is not None else P.mode
+        if mode == LAURENT and P.mode != LAURENT:
+            raise UsageError("mode laurent invalid for P=%s (one-sided basis)"
+                             % p_expr)
     return JobSpec(command=ns.command, n=ns.n, mode=mode,
                    p_expr=p_expr, m_expr=ns.M.strip(),
                    window=window, gen_bound=gen_bound, as_json=ns.json)
@@ -372,6 +380,11 @@ def _run_complex(spec, P, M):
     if h.excluded:
         details.append("%d graded pieces excluded at the window edge"
                        % h.excluded)
+    if not h.table:
+        # every piece was excluded, so nothing was computed to vanish
+        details.append("no graded piece lies inside the window, so no"
+                       " dimension was computed")
+        return "homology undetermined on the window", False, details, False
     nz = h.nonzero()
     verdict = ("homology vanishes on the window" if not nz
                else "nonzero homology at %d position%s"
@@ -434,15 +447,17 @@ _BODIES = {
     "torsion": _run_torsion,
 }
 COMMANDS = tuple(_BODIES)
-# the commands whose body never reads M, so --M is not built for them
+# the commands whose body never reads P or M, so --P or --M is not built
+# for them
+_IGNORES_P = ("verify-shen",)
 _IGNORES_M = ("verify-shen", "complex")
 
 
 def run(spec: JobSpec) -> Tuple[Report, int]:
     """Execute a job; returns the report and the process exit code."""
-    P = parse_p(spec.p_expr, spec.n)
+    P = None if spec.command in _IGNORES_P else parse_p(spec.p_expr, spec.n)
     M = None if spec.command in _IGNORES_M else parse_m(spec.m_expr, spec.n)
-    if spec.mode == PLUS:
+    if P is not None and spec.mode == PLUS:
         P.mode = PLUS  # a two-sided P restricted to W_n^+
     start = time.monotonic()
     try:

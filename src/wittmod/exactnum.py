@@ -1,15 +1,24 @@
 """Exact scalars and exact linear algebra over the field Q(l1, ..., lm).
 
-A scalar is a reduced fraction num/den of multivariate polynomials with
-integer coefficients in named parameters.  Polynomials are sparse dicts
-mapping a monomial to a nonzero int coefficient; a monomial is a tuple of
-(name, exponent) pairs sorted by name with every exponent > 0, so the
-constant monomial is the empty tuple and the zero polynomial is {}.
+A scalar is a reduced fraction num/den with integer coefficients in named
+parameters.  Polynomials are sparse dicts mapping a monomial to a nonzero
+int coefficient; a monomial is a tuple of (name, exponent) pairs sorted by
+name with every exponent a nonzero int, so the constant monomial is the
+empty tuple and the zero polynomial is {}.  A negative exponent makes the
+dict a Laurent polynomial, an element of Z[l1^{±1}, ..., lm^{±1}].
 
-Canonical form, enforced on every Scalar: the denominator is nonzero, the
-poly gcd of num and den (including integer content) is 1, and the leading
-coefficient of den under graded-lex order is positive.  Equality and
-hashing are therefore structural.
+Canonical form, enforced on every Scalar: num is a Laurent polynomial and
+den a true polynomial (every exponent > 0) that no parameter divides, with
+positive leading coefficient under graded-lex order.  num times the
+monomial that clears its negative exponents is coprime to den, integer
+content included.  So a monomial denominator l^k is stored as the exponent
+-k in num, and a Laurent polynomial such as (l1 + 1)/l1 = 1 + l1^-1 has
+den == 1 and multiplies and adds without any gcd.  The form is unique, so
+equality and hashing are structural.  The polynomial gcd and exact-division
+helpers only ever see true polynomials; `_reduce` shifts Laurent input by
+monomials around them.  No dict of a Scalar is ever mutated, so scalars
+share them: the den of an integer and of a sum or product of Laurent
+polynomials is the one dict `_PONE`.
 """
 
 from __future__ import annotations
@@ -67,14 +76,57 @@ def _psub(f: Poly, g: Poly) -> Poly:
 
 
 def _mono_mul(a: Mono, b: Mono) -> Mono:
+    """a * b; exponents that cancel to 0 are dropped."""
     if not a:
         return b
     if not b:
         return a
     d = dict(a)
     for n, e in b:
-        d[n] = d.get(n, 0) + e
+        s = d.get(n, 0) + e
+        if s:
+            d[n] = s
+        else:
+            del d[n]
     return tuple(sorted(d.items()))
+
+
+def _mono_inv(m: Mono) -> Mono:
+    return tuple((n, -e) for n, e in m)
+
+
+def _mono_content(f: Poly) -> Mono:
+    """The monomial gcd of the Laurent polynomial f's terms: each parameter
+    to its least exponent over the terms, a term that lacks it counting as
+    exponent 0 (() for f = 0)."""
+    low: Dict[str, int] = {}
+    seen: Dict[str, int] = {}
+    for m in f:
+        for n, e in m:
+            if e < low.get(n, e + 1):
+                low[n] = e
+            seen[n] = seen.get(n, 0) + 1
+    out = []
+    for n in sorted(low):
+        e = low[n] if seen[n] == len(f) else min(low[n], 0)
+        if e:
+            out.append((n, e))
+    return tuple(out)
+
+
+def _neg_part(f: Poly) -> Mono:
+    """The least monomial whose product with f has no negative exponent."""
+    low: Dict[str, int] = {}
+    for m in f:
+        for n, e in m:
+            if e < low.get(n, 0):
+                low[n] = e
+    return tuple(sorted((n, -e) for n, e in low.items()))
+
+
+def _pshift(f: Poly, m: Mono) -> Poly:
+    """f * m for a monomial m (one term per term of f)."""
+    return {_mono_mul(k, m): c for k, c in f.items()} if m else f
 
 
 def _mono_div(a: Mono, b: Mono) -> Optional[Mono]:
@@ -334,7 +386,11 @@ def _poly_str(f: Poly) -> str:
 # ---------------------------------------------------------------------------
 
 class Scalar:
-    """An element of Q(l1, ..., lm) in canonical reduced form."""
+    """An element of Q(l1, ..., lm) in the canonical form of the module
+    docstring: num a Laurent polynomial, den a true polynomial without
+    monomial factors, positive-led and coprime to num.  Rational constants
+    have num and den in {(): c}; Laurent polynomials, such as every
+    coefficient of a Whittaker module, have den == 1."""
 
     __slots__ = ("num", "den", "_hash")
 
@@ -349,7 +405,7 @@ class Scalar:
 
     @staticmethod
     def integer(k: int) -> "Scalar":
-        return Scalar(_pconst(k), dict(_PONE), _reduced=True)
+        return Scalar(_pconst(k), _PONE, _reduced=True)
 
     @staticmethod
     def rational(p: int, q: int = 1) -> "Scalar":
@@ -359,7 +415,7 @@ class Scalar:
     def param(name: str) -> "Scalar":
         if not name or not name[0].isalpha():
             raise ValueError("parameter name must start with a letter: %r" % name)
-        return Scalar(_pvar(name), dict(_PONE), _reduced=True)
+        return Scalar(_pvar(name), _PONE, _reduced=True)
 
     # -- predicates and views
 
@@ -378,9 +434,11 @@ class Scalar:
         return Fraction(self.num.get((), 0), self.den[()])
 
     def constant_part(self) -> Optional[Fraction]:
-        """Value at all parameters = 0, or None when the denominator vanishes."""
+        """Value at all parameters = 0, or None when the denominator of the
+        reduced fraction vanishes there: den(0) = 0, or num has a negative
+        exponent (a monomial denominator)."""
         d = self.den.get((), 0)
-        if d == 0:
+        if d == 0 or _neg_part(self.num):
             return None
         return Fraction(self.num.get((), 0), d)
 
@@ -393,7 +451,12 @@ class Scalar:
         if not n2:
             return self
         if d1 == _PONE and d2 == _PONE:
-            return Scalar(_padd(n1, n2), dict(_PONE), _reduced=True)
+            return Scalar(_padd(n1, n2), _PONE, _reduced=True)
+        if _is_const(n1) and _is_const(n2) and _is_const(d1) and _is_const(d2):
+            p1, q1, p2, q2 = n1[()], d1[()], n2[()], d2[()]
+            p, q = p1 * q2 + p2 * q1, q1 * q2
+            g = _igcd(p, q)
+            return Scalar(_pconst(p // g), {(): q // g}, _reduced=True)
         if d1 == d2:
             return Scalar(_padd(n1, n2), d1)
         return Scalar(_padd(_pmul(n1, d2), _pmul(n2, d1)), _pmul(d1, d2))
@@ -414,14 +477,15 @@ class Scalar:
         if d1 == _PONE and n1 == _PONE:
             return other
         if d1 == _PONE and d2 == _PONE:
-            return Scalar(_pmul(n1, n2), dict(_PONE), _reduced=True)
+            return Scalar(_pmul(n1, n2), _PONE, _reduced=True)
+        if _is_const(n1) and _is_const(n2) and _is_const(d1) and _is_const(d2):
+            p1, q1, p2, q2 = n1[()], d1[()], n2[()], d2[()]
+            g1, g2 = _igcd(p1, q2), _igcd(p2, q1)
+            return Scalar({(): (p1 // g1) * (p2 // g2)},
+                          {(): (q1 // g2) * (q2 // g1)}, _reduced=True)
         # cross-cancel before multiplying to limit growth
-        g1 = _pgcd(n1, d2)
-        if g1 != _PONE:
-            n1, d2 = _pdiv_exact(n1, g1), _pdiv_exact(d2, g1)
-        g2 = _pgcd(n2, d1)
-        if g2 != _PONE:
-            n2, d1 = _pdiv_exact(n2, g2), _pdiv_exact(d1, g2)
+        n1, d2 = _cancel(n1, d2)
+        n2, d1 = _cancel(n2, d1)
         num, den = _pmul(n1, n2), _pmul(d1, d2)
         if den[_plead(den)] < 0:
             num, den = _pneg(num), _pneg(den)
@@ -453,13 +517,17 @@ class Scalar:
         return self._hash
 
     def __str__(self) -> str:
-        if self.den == _PONE:
-            return _poly_str(self.num)
-        ns = _poly_str(self.num)
-        if len(self.num) > 1:
+        # rendered as a fraction of true polynomials: the monomial that
+        # clears num's negative exponents moves back into den
+        m = _neg_part(self.num)
+        num, den = _pshift(self.num, m), _pshift(self.den, m)
+        if den == _PONE:
+            return _poly_str(num)
+        ns = _poly_str(num)
+        if len(num) > 1:
             ns = "(%s)" % ns
-        ds = _poly_str(self.den)
-        if len(self.den) > 1 or _pdeg(self.den) > 0:
+        ds = _poly_str(den)
+        if len(den) > 1 or _pdeg(den) > 0:
             ds = "(%s)" % ds
         return "%s/%s" % (ns, ds)
 
@@ -470,11 +538,33 @@ class Scalar:
         return bool(self.num)
 
 
+def _cancel(n: Poly, d: Poly) -> Tuple[Poly, Poly]:
+    """(n/g, d/g) for g the gcd of the Laurent polynomial n and a canonical
+    den d.  d has no monomial factor, so neither has g, and g is the gcd of
+    d with the true polynomial n * (the monomial clearing n's negative
+    exponents)."""
+    if d == _PONE:
+        return n, d
+    m = _neg_part(n)
+    p = _pshift(n, m)
+    g = _pgcd(p, d)
+    if g == _PONE:
+        return n, d
+    return _pshift(_pdiv_exact(p, g), _mono_inv(m)), _pdiv_exact(d, g)
+
+
 def _reduce(num: Poly, den: Poly) -> Tuple[Poly, Poly]:
+    """The canonical form of num/den for Laurent polynomials num and den.
+
+    Each is divided by its monomial content, which leaves two true
+    polynomials without monomial factors; those are reduced by their gcd
+    (an integer gcd when both are constants) and signed so den is
+    positive-led, and the quotient of the two contents goes back into num.
+    """
     if not den:
         raise ZeroDivisionError("zero divisor")
     if not num:
-        return {}, dict(_PONE)
+        return {}, _PONE
     if _is_const(num) and _is_const(den):
         p, q = num[()], den[()]
         g = _igcd(p, q)
@@ -483,6 +573,11 @@ def _reduce(num: Poly, den: Poly) -> Tuple[Poly, Poly]:
         p //= g
         q //= g
         return _pconst(p), _pconst(q)
+    a, b = _mono_content(num), _mono_content(den)
+    if a or b:
+        num, den = _reduce(_pshift(num, _mono_inv(a)),
+                           _pshift(den, _mono_inv(b)))
+        return _pshift(num, _mono_mul(a, _mono_inv(b))), den
     g = _pgcd(num, den)
     if g != _PONE:
         num, den = _pdiv_exact(num, g), _pdiv_exact(den, g)

@@ -252,6 +252,42 @@ def test_commands_that_ignore_m_accept_any_m(capsys, argv, m_expr):
     assert reports[0] == reports[1]
 
 
+def test_complex_without_computed_pieces_is_not_certified(capsys):
+    # at D = 2 every multidegree piece of Alaurent(3) touches the window
+    # edge, so the table is empty and "vanishes" would rest on nothing
+    rep, code = run(spec_of("complex", "--n", "3", "--P", "Alaurent",
+                            "--window", "2"))
+    assert code == 1 and not rep.certified
+    assert rep.verdict == "homology undetermined on the window"
+    assert "80 graded pieces excluded at the window edge" in rep.details
+    assert main(["complex", "--n", "3", "--P", "Alaurent",
+                 "--window", "2"]) == 1
+    assert "[certified]" not in capsys.readouterr().out
+    # one level further the same complex has computed, nonzero pieces
+    rep, code = run(spec_of("complex", "--n", "3", "--P", "Alaurent",
+                            "--window", "3"))
+    assert code == 0 and rep.certified
+    assert rep.verdict == "nonzero homology at 4 positions"
+
+
+def test_verify_shen_reads_no_p(capsys):
+    # verify-shen works in the operator algebra alone: any --P is accepted
+    # and left unbuilt, and the mode defaults to plus whatever P is
+    reports = []
+    for extra in ([], ["--P", "Spin"], ["--P", "Alaurent"]):
+        argv = ["verify-shen", "--gen-bound", "1", "--json"] + extra
+        assert parse_spec(argv).mode == "plus"
+        assert main(argv) == 0
+        doc = json.loads(capsys.readouterr().out)
+        doc.pop("elapsedMs")
+        doc.pop("P")
+        reports.append(doc)
+    assert reports[0] == reports[1] == reports[2]
+    assert reports[0]["mode"] == "plus" and reports[0]["certified"]
+    assert spec_of("verify-shen", "--P", "Spin", "--mode",
+                   "laurent").mode == "laurent"
+
+
 def test_main_exit_codes(capsys):
     assert main(["irreducible", "--P", "Apoly", "--M", "Ext(5)"]) == 2
     assert "Ext(5) invalid for n=2" in capsys.readouterr().err

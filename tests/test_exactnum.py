@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from wittmod import exactnum
 from wittmod.exactnum import (
     ONE, ExactMatrix, Scalar, Echelon, _pgcd, coordinate_block_intersection,
     kernel_basis, rank, vec_axpy,
@@ -60,6 +61,98 @@ def test_str_render():
     assert str(S(2) * L1 * L1 * L2 - L1) == "2*l1^2*l2 - l1"
     assert str((L1 + S(2)) / (L1 - S(1))) == "(l1 + 2)/(l1 - 1)"
     assert str(S(0)) == "0"
+
+
+# (value, str, constant_part) with monomial and mixed denominators; the
+# strings and constant parts are those of the plain reduced fraction
+CANONICAL_TABLE = [
+    (lambda: S(1) / L1, "1/(l1)", None),
+    (lambda: (L1 + S(1)) / L1, "(l1 + 1)/(l1)", None),
+    (lambda: Scalar.rational(-1, 2) / L1, "-1/(2*l1)", None),
+    (lambda: S(3) / (L1 * L2), "3/(l1*l2)", None),
+    (lambda: (L1 * L1 + L2) / (L1 * L2), "(l1^2 + l2)/(l1*l2)", None),
+    (lambda: S(1) / (L1 * L1 + L1), "1/(l1^2 + l1)", None),
+    (lambda: L1 * L1 / L1, "l1", Fraction(0)),
+    (lambda: (L1 + S(2)) / (L2 + S(3)), "(l1 + 2)/(l2 + 3)", Fraction(2, 3)),
+    (lambda: Scalar.rational(6, -4), "-3/2", Fraction(-3, 2)),
+    (lambda: (L1 - S(1)) / (S(2) * L1 - S(4)), "(l1 - 1)/(2*l1 - 4)",
+     Fraction(1, 4)),
+]
+
+
+@pytest.mark.parametrize("build, text, const", CANONICAL_TABLE,
+                         ids=[text for _, text, _ in CANONICAL_TABLE])
+def test_canonical_strings_and_constant_parts(build, text, const):
+    x = build()
+    assert str(x) == text
+    assert x.constant_part() == const
+
+
+def test_monomial_denominators_are_negative_exponents():
+    # a Laurent polynomial keeps den == 1, so it multiplies and adds
+    # without a gcd; den never carries a monomial factor
+    x = (L1 + S(1)) / L1
+    assert x.num == {(): 1, (("l1", -1),): 1} and x.den == {(): 1}
+    y = S(1) / (L1 * L1 + L1)
+    assert y.num == {(("l1", -1),): 1} and y.den == {(): 1, (("l1", 1),): 1}
+    z = Scalar.rational(-1, 2) / L1
+    assert z.num == {(("l1", -1),): -1} and z.den == {(): 2}
+
+
+def _same(a, b):
+    return a == b and a.num == b.num and a.den == b.den and hash(a) == hash(b)
+
+
+def test_equal_values_share_canonical_form():
+    inv = S(1) / L1
+    assert _same(inv * L1, ONE) and (inv * L1).is_one()
+    assert _same(inv * L1 * L1, L1) and _same(L1.inv().inv(), L1)
+    routes = [S(1) / (L1 * (L1 + S(1))),
+              (S(1) / L1) * (S(1) / (L1 + S(1))),
+              S(1) / L1 - S(1) / (L1 + S(1)),
+              (L1 * L1 + L1).inv()]
+    for r in routes[1:]:
+        assert _same(r, routes[0])
+    assert _same((L1 + S(1)) / L1 - S(1), inv)
+    assert _same(L2 / L1 * (L1 / L2), ONE)
+
+
+def test_rational_constants_match_fraction():
+    rng = random.Random(1101)
+    for _ in range(400):
+        p, q = rng.randint(-30, 30), rng.randint(1, 30)
+        r, t = rng.randint(-30, 30), rng.choice([-1, 1]) * rng.randint(1, 30)
+        a, b = Scalar.rational(p, q), Scalar.rational(r, t)
+        fa, fb = Fraction(p, q), Fraction(r, t)
+        cases = [(a + b, fa + fb), (a - b, fa - fb), (a * b, fa * fb)]
+        if r:
+            cases.append((a / b, fa / fb))
+        for got, want in cases:
+            assert got.as_fraction() == want
+            assert got.num == ({(): want.numerator} if want else {})
+            assert got.den == {(): want.denominator}
+
+
+def test_gcd_helpers_see_true_polynomials(monkeypatch):
+    # Laurent operands are shifted by a monomial before any gcd or exact
+    # division, so those helpers never meet a negative exponent
+    def guarded(fn):
+        def inner(*polys):
+            for f in polys:
+                assert all(e > 0 for m in f for _, e in m), polys
+            return fn(*polys)
+        return inner
+    for name in ("_pgcd", "_pdiv_exact"):
+        monkeypatch.setattr(exactnum, name, guarded(getattr(exactnum, name)))
+    rng = random.Random(77)
+    atoms = [L1, L2, S(1) / L1, (L1 + S(1)) / L2, S(1) / (L1 - L2),
+             Scalar.rational(3, 4), L1 * L2 + S(2)]
+    x = ONE
+    for _ in range(200):
+        y = rng.choice(atoms)
+        x = rng.choice([x + y, x - y, x * y, x / y])
+        if len(str(x)) > 200:
+            x = rng.choice(atoms)
 
 
 def test_rank_kernel_example():
