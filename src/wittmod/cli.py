@@ -1,7 +1,8 @@
 """Command-line front end: parse module expressions, run checks, report.
 
 Usage: `wittmod COMMAND [flags]`; the flags may come before or after the
-command, and `wittmod --help` lists them.
+command, and `wittmod --help` lists them.  The checks live in `wittrep`;
+each command body here only formats what they return.
 
 Commands
 --------
@@ -24,30 +25,27 @@ leading letter become field parameters; anything else must be an integer (or
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import os
-import random
 import sys
 import time
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
-from .exactnum import ONE, Scalar, vec_clean
+from .exactnum import Scalar
 from .glmod import (
     GlModule, exterior_power, natural_module, scalar_module, sym_power,
     tensor_module,
 )
-from .liealg import WittElement, shen_tau, toroidal_bracket, witt_bracket
-from .polyalg import LAURENT, PLUS, exponents_within
+from .polyalg import LAURENT, PLUS
 from .weylmod import (
     LaurentFactor, PolyFactor, QuotFactor, TwistedFactor, WeylModule,
     WhittakerFactor, alaurent, apoly, laurent_quot, tensor_factors,
     twisted_laurent, whittaker,
 )
 from .wittrep import (
-    FPModule, check_action_axiom, check_chain_map, complex_homology,
-    fingerprint, irreducibility_report, operators, torsion_matches,
+    FPModule, check_action_axiom, check_chain_map, check_shen_tau,
+    check_torsion, complex_homology, fingerprint, irreducibility_report,
     weight_support,
 )
 
@@ -286,19 +284,16 @@ def _build_parser() -> argparse.ArgumentParser:
 def parse_spec(argv: Sequence[str]) -> JobSpec:
     """Flags to a JobSpec; checks P and the mode for the commands that read
     P, while M is built by run for the commands that read it."""
-    ns = _build_parser().parse_args(list(argv))
+    ns = _PARSER.parse_args(list(argv))
     if ns.n < 2:
         raise UsageError("--n must be at least 2, got %d" % ns.n)
     window = ns.window
-    if window is None:
-        env = os.environ.get(WINDOW_ENV)
-        if env is not None:
-            try:
-                window = int(env)
-            except ValueError:
-                raise UsageError("bad %s value %r" % (WINDOW_ENV, env))
-        else:
-            window = DEFAULT_WINDOW
+    if window is None:  # the environment is read on every call
+        env = os.environ.get(WINDOW_ENV, str(DEFAULT_WINDOW))
+        try:
+            window = int(env)
+        except ValueError:
+            raise UsageError("bad %s value %r" % (WINDOW_ENV, env))
     if window < 1:
         raise UsageError("--window must be at least 1, got %d" % window)
     gen_bound = ns.gen_bound if ns.gen_bound is not None else window + 1
@@ -326,29 +321,13 @@ def parse_spec(argv: Sequence[str]) -> JobSpec:
 # ---------------------------------------------------------------------------
 
 def _run_verify_shen(spec, P, M):
-    n, bound = spec.n, spec.gen_bound
-    if spec.mode == PLUS:
-        elems = [WittElement.monomial(n, PLUS, a, j, ONE)
-                 for a, j in operators(n, bound, PLUS)]
-        pairs = list(itertools.combinations(elems, 2))
-        how = "exhaustive |alpha| <= %d" % bound
-    else:
-        rng = random.Random(1923)
-        pairs = []
-        for _ in range(200):
-            a = tuple(rng.randint(-bound, bound) for _ in range(n))
-            b = tuple(rng.randint(-bound, bound) for _ in range(n))
-            pairs.append((WittElement.monomial(n, LAURENT, a,
-                                               rng.randint(1, n), ONE),
-                          WittElement.monomial(n, LAURENT, b,
-                                               rng.randint(1, n), ONE)))
-        how = "randomized two-sided exponents in [-%d, %d]" % (bound, bound)
-    for x, y in pairs:
-        if shen_tau(witt_bracket(x, y)) != \
-                toroidal_bracket(shen_tau(x), shen_tau(y)):
-            return ("embedding does not respect brackets", False,
-                    ["mismatch at x=%s, y=%s" % (x, y)], False)
-    details = ["%d monomial pairs checked (%s)" % (len(pairs), how),
+    bound = spec.gen_bound
+    ok, checked, note = check_shen_tau(spec.n, bound, spec.mode)
+    if not ok:
+        return "embedding does not respect brackets", False, [note], False
+    how = ("exhaustive |alpha| <= %d" % bound if spec.mode == PLUS
+           else "randomized two-sided exponents in [-%d, %d]" % (bound, bound))
+    details = ["%d monomial pairs checked (%s)" % (checked, how),
                "tau[x,y] = [tau x, tau y] exactly in every case"]
     return "embedding respects brackets", True, details, True
 
@@ -418,21 +397,13 @@ def _run_fingerprint(spec, P, M):
 
 def _run_torsion(spec, P, M):
     F = FPModule(P, M)
-    rng = random.Random(8128)
-    win = F.window_basis(spec.window)
-    exps = exponents_within(spec.n, min(spec.gen_bound, 3), F.mode)
-    samples = 100
-    for _ in range(samples):
-        vec = vec_clean({rng.choice(win): Scalar.integer(rng.randint(-3, 3))
-                         for _ in range(2)})
-        l, i, j = (rng.randint(1, spec.n) for _ in range(3))
-        alpha = rng.choice(exps)
-        if not torsion_matches(F, l, i, j, alpha, vec):
-            return ("torsion operator deviates from its closed form", False,
-                    ["mismatch at l=%d, i=%d, j=%d, alpha=%s" %
-                     (l, i, j, alpha)], False)
+    bound = min(spec.gen_bound, 3)
+    ok, checked, note = check_torsion(F, spec.window, bound)
+    if not ok:
+        return ("torsion operator deviates from its closed form", False,
+                [note], False)
     details = ["%d randomized inputs on %s, exponents bounded by %d"
-               % (samples, F.name, min(spec.gen_bound, 3)),
+               % (checked, F.name, bound),
                "interpolated operator matches its closed form in every case"]
     return "torsion identity holds on all samples", True, details, True
 
@@ -451,6 +422,8 @@ COMMANDS = tuple(_BODIES)
 # for them
 _IGNORES_P = ("verify-shen",)
 _IGNORES_M = ("verify-shen", "complex")
+# parse_args keeps no state between calls, so one parser serves every call
+_PARSER = _build_parser()
 
 
 def run(spec: JobSpec) -> Tuple[Report, int]:

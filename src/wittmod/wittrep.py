@@ -17,19 +17,21 @@ supports, and coarse isomorphism fingerprints.
 
 from __future__ import annotations
 
+import itertools
+import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from wittmod.exactnum import (
     Echelon, ExactMatrix, ONE, Scalar, coordinate_block_intersection,
-    kernel_basis, vec_axpy, vec_scale, vec_sub,
+    kernel_basis, vec_axpy, vec_clean, vec_scale, vec_sub,
 )
 from wittmod.glmod import (
     GlModule, exterior_degree, exterior_power, highest_weight, wedge_basis,
     wedge_sort,
 )
-from wittmod.liealg import WittElement, witt_bracket
-from wittmod.polyalg import MultiIndex, exponents_within, unit_index
+from wittmod.liealg import WittElement, shen_tau, toroidal_bracket, witt_bracket
+from wittmod.polyalg import PLUS, MultiIndex, exponents_within, unit_index
 from wittmod.weylmod import WeylModule
 
 Cell = Tuple  # (P basis index, M basis index)
@@ -379,7 +381,7 @@ def ltilde_window(P: WeylModule, r: int, D: int, A: int) -> WindowedSubspace:
     return _kernel_subspace(F_r, D, cols, images)
 
 
-def interior_invariant(sub: WindowedSubspace, bound: int = 3) -> bool:
+def interior_invariant(sub: WindowedSubspace, bound: int) -> bool:
     """Check op(v) stays inside the subspace for every |alpha| <= bound
     operator, restricted to basis vectors whose level survives the
     operator's raise bound (so the image provably fits in the window)."""
@@ -629,7 +631,7 @@ def irreducibility_report(P: WeylModule, M: GlModule, D: int,
                                     "top-degree", details)
     lw = l_window(P, r, D)
     full = len(F.window_basis(D))
-    invariant = interior_invariant(lw)
+    invariant = interior_invariant(lw, A)
     ok = 0 < lw.dim < full and invariant
     details.append("image subspace: dimension %d of %d, nonzero=%s,"
                    " proper=%s, interior-invariant=%s"
@@ -638,12 +640,13 @@ def irreducibility_report(P: WeylModule, M: GlModule, D: int,
 
 
 # ---------------------------------------------------------------------------
-# identity suites (shared by tests and the command line)
+# identity suites (shared by tests and the command line); each returns
+# (ok, cases checked, note naming the first failing case or "")
 # ---------------------------------------------------------------------------
 
 def check_action_axiom(F: FPModule, bound: int, D: int) -> Tuple[bool, int, str]:
-    """[x, y] v = x(yv) - y(xv) for all monomial pairs with |alpha| <= bound
-    over the window basis.  Returns (ok, pairs checked, failure note)."""
+    """[x, y] v + y(xv) = x(yv) for all monomial pairs with |alpha| <= bound
+    on every window cell v.  Returns (ok, pairs checked, failure note)."""
     ops = operators(F.n, bound, F.mode)
     elems = [WittElement.monomial(F.n, F.mode, a, j) for a, j in ops]
     cells = F.window_basis(D)
@@ -653,14 +656,12 @@ def check_action_axiom(F: FPModule, bound: int, D: int) -> Tuple[bool, int, str]
             ya, yj = ops[bi]
             br = witt_bracket(elems[ai], elems[bi]).monomials()
             for cell in cells:
-                v = {cell: ONE}
                 lhs: FPMVector = {}
                 for alpha, j, c in br:
                     vec_axpy(lhs, F.act_cell(alpha, j, cell).items(), c)
-                rhs = vec_sub(F.act(xa, xj, F.act(ya, yj, v)),
-                              F.act(ya, yj, F.act(xa, xj, v)))
+                vec_axpy(lhs, F.act(ya, yj, F.act_cell(xa, xj, cell)).items())
                 checked += 1
-                if lhs != rhs:
+                if lhs != F.act(xa, xj, F.act_cell(ya, yj, cell)):
                     return (False, checked,
                             "pair t^%s d_%d, t^%s d_%d on %s"
                             % (xa, xj, ya, yj, F.label(cell)))
@@ -671,26 +672,69 @@ def check_chain_map(P: WeylModule, bound: int, D: int) -> Tuple[bool, int, str]:
     """pi_k intertwines every monomial operator on window bases, and
     consecutive chain maps compose to zero."""
     n = P.n
+    ops = operators(n, bound, P.mode)
     checked = 0
+    F_k1 = FPModule(P, exterior_power(n, 0))
     for k in range(n):
-        F_k = FPModule(P, exterior_power(n, k))
-        F_k1 = FPModule(P, exterior_power(n, k + 1))
+        # F(P, Ext(k+1)) is the next k's F_k: its memoized images carry over
+        F_k, F_k1 = F_k1, FPModule(P, exterior_power(n, k + 1))
         cells = F_k.window_basis(D)
-        for alpha, j in operators(n, bound, P.mode):
-            for cell in cells:
-                v = {cell: ONE}
-                lhs = pi_map(P, k, F_k.act(alpha, j, v))
-                rhs = F_k1.act(alpha, j, pi_map(P, k, v))
+        images = _pi_images(P, k, cells)
+        for alpha, j in ops:
+            for cell, img in zip(cells, images):
                 checked += 1
-                if lhs != rhs:
+                if pi_map(P, k, F_k.act_cell(alpha, j, cell)) != \
+                        F_k1.act(alpha, j, img):
                     return (False, checked,
                             "pi_%d vs t^%s d_%d on %s"
                             % (k, alpha, j, F_k.label(cell)))
         if k + 1 <= n - 1:
-            for cell in cells:
+            for cell, img in zip(cells, images):
                 checked += 1
-                if pi_map(P, k + 1, pi_map(P, k, {cell: ONE})):
+                if pi_map(P, k + 1, img):
                     return (False, checked,
                             "pi_%d pi_%d nonzero on %s"
                             % (k + 1, k, F_k.label(cell)))
     return (True, checked, "")
+
+
+def check_shen_tau(n: int, bound: int, mode: str) -> Tuple[bool, int, str]:
+    """tau[x, y] = [tau x, tau y] on monomial pairs: all pairs of distinct
+    |alpha| <= bound operators in the plus mode, else 200 pairs with
+    exponents drawn from [-bound, bound]^n (seed 1923)."""
+    if mode == PLUS:
+        elems = [WittElement.monomial(n, mode, a, j)
+                 for a, j in operators(n, bound, mode)]
+        pairs = list(itertools.combinations(
+            [(x, shen_tau(x)) for x in elems], 2))
+    else:
+        rng = random.Random(1923)
+        pairs = []
+        for _ in range(200):
+            a = tuple(rng.randint(-bound, bound) for _ in range(n))
+            b = tuple(rng.randint(-bound, bound) for _ in range(n))
+            x = WittElement.monomial(n, mode, a, rng.randint(1, n))
+            y = WittElement.monomial(n, mode, b, rng.randint(1, n))
+            pairs.append(((x, shen_tau(x)), (y, shen_tau(y))))
+    for checked, ((x, tx), (y, ty)) in enumerate(pairs, 1):
+        if shen_tau(witt_bracket(x, y)) != toroidal_bracket(tx, ty):
+            return False, checked, "mismatch at x=%s, y=%s" % (x, y)
+    return True, len(pairs), ""
+
+
+def check_torsion(F: FPModule, D: int, bound: int) -> Tuple[bool, int, str]:
+    """The interpolated torsion operator against its closed form on 100
+    inputs drawn with seed 8128: a two-cell window vector with coefficients
+    in [-3, 3], indices l, i, j and an exponent with |alpha| <= bound."""
+    rng = random.Random(8128)
+    win = F.window_basis(D)
+    exps = exponents_within(F.n, bound, F.mode)
+    for checked in range(1, 101):
+        vec = vec_clean({rng.choice(win): Scalar.integer(rng.randint(-3, 3))
+                         for _ in range(2)})
+        l, i, j = (rng.randint(1, F.n) for _ in range(3))
+        alpha = rng.choice(exps)
+        if not torsion_matches(F, l, i, j, alpha, vec):
+            return (False, checked, "mismatch at l=%d, i=%d, j=%d, alpha=%s"
+                    % (l, i, j, alpha))
+    return True, checked, ""

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from wittmod import cli
 from wittmod.cli import (
     COMMANDS, JobSpec, UsageError, main, parse_m, parse_p, parse_spec, run,
 )
@@ -52,6 +53,15 @@ def test_window_env_override(monkeypatch):
     monkeypatch.setenv("WITTMOD_WINDOW", "x")
     with pytest.raises(UsageError, match="WITTMOD_WINDOW"):
         spec_of("fingerprint")
+
+
+def test_parse_spec_builds_no_parser(monkeypatch):
+    # one parser per process: parse_spec only reads it
+    def rebuilt():
+        raise AssertionError("parser rebuilt")
+
+    monkeypatch.setattr(cli, "_build_parser", rebuilt)
+    assert spec_of("fingerprint", "--window", "2").window == 2
 
 
 def test_round_trip():

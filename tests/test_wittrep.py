@@ -1,11 +1,13 @@
 """Tests for F(P, M): actions, chain maps, windows, reports."""
 
 import itertools
+import math
 import random
 import re
 
 import pytest
 
+from wittmod import wittrep
 from wittmod.cli import main, parse_p
 from wittmod.exactnum import ONE, Scalar, vec_axpy, vec_sub, vec_clean
 from wittmod.glmod import (
@@ -15,11 +17,11 @@ from wittmod.glmod import (
 from wittmod.liealg import WittElement
 from wittmod.weylmod import alaurent, apoly, laurent_quot, twisted_laurent, whittaker
 from wittmod.wittrep import (
-    FPModule, _saturation_report, check_action_axiom, check_chain_map,
-    complex_homology, fingerprint, interior_invariant, irreducibility_report,
-    kernel_window, l_window, ltilde_window, pi_map, saturation_seeds,
-    submodule_closure, torsion_expected, torsion_matches, torsion_operator,
-    weight_support,
+    FPModule, _saturation_report, _tensor, check_action_axiom,
+    check_chain_map, check_shen_tau, check_torsion, complex_homology,
+    fingerprint, interior_invariant, irreducibility_report, kernel_window,
+    l_window, ltilde_window, pi_map, saturation_seeds, submodule_closure,
+    torsion_expected, torsion_matches, torsion_operator, weight_support,
 )
 
 
@@ -77,17 +79,73 @@ def test_rank_mismatch_rejected():
         FPModule(apoly(2), natural_module(3))
 
 
+def _n_ops(n, A, mode):
+    """The number of operators t^alpha d_j with |alpha| <= A in closed form:
+    n times the number of exponents in Z_+^n, or in Z^2."""
+    if mode == "plus":
+        return n * math.comb(A + n, n)
+    assert n == 2
+    return n * (2 * A * A + 2 * A + 1)
+
+
+def _axiom_pairs(F, A, D):
+    # one check per pair of distinct operators and window cell
+    return math.comb(_n_ops(F.n, A, F.mode), 2) * len(F.window_basis(D))
+
+
 def test_action_axiom_suite_small():
-    F = FPModule(apoly(2), natural_module(2))
-    ok, checked, note = check_action_axiom(F, 2, 2)
-    assert ok, note
-    assert checked > 0
+    for P, M, A, D in ((apoly(2), natural_module(2), 2, 2),
+                       (laurent_quot(2), sym_power(2, 2), 1, 3),
+                       (apoly(3), natural_module(3), 1, 1)):
+        F = FPModule(P, M)
+        assert check_action_axiom(F, A, D) == (True, _axiom_pairs(F, A, D), "")
 
 
 def test_action_axiom_laurent_spot():
     F = FPModule(alaurent(2), exterior_power(2, 1))
-    ok, _, note = check_action_axiom(F, 2, 2)
+    ok, checked, note = check_action_axiom(F, 2, 2)
     assert ok, note
+    assert checked == _axiom_pairs(F, 2, 2)
+
+
+def test_action_axiom_fails_on_a_wrong_action(monkeypatch):
+    # t^(1,1) d_2 without its matrix part E(1,2) + E(2,2) is no module
+    # action on F(Apoly, Nat); the first failing pair contains it
+    act_cell = FPModule.act_cell
+
+    def broken(self, alpha, j, cell):
+        if (tuple(alpha), j) == ((1, 1), 2):
+            return _tensor({}, self.P, cell[0], [((1, 1), 2, {cell[1]: ONE})])
+        return act_cell(self, alpha, j, cell)
+
+    monkeypatch.setattr(FPModule, "act_cell", broken)
+    ok, checked, note = check_action_axiom(
+        FPModule(apoly(2), natural_module(2)), 2, 2)
+    assert not ok
+    assert note == "pair t^(0, 0) d_1, t^(1, 1) d_2 on t^0*t^0(x)e2"
+    assert checked == 98
+
+
+@pytest.mark.parametrize("n, A", [(2, 1), (2, 2), (2, 3), (3, 1)])
+def test_shen_suite_checks_every_pair(n, A):
+    ok, checked, note = check_shen_tau(n, A, "plus")
+    assert (ok, note) == (True, "")
+    assert checked == math.comb(_n_ops(n, A, "plus"), 2)
+
+
+def test_shen_suite_two_sided_checks_200_pairs():
+    assert check_shen_tau(2, 2, "laurent") == (True, 200, "")
+
+
+@pytest.mark.parametrize("mode", ["plus", "laurent"])
+def test_shen_suite_fails_on_a_wrong_tau(monkeypatch, mode):
+    # 2 tau is linear but no homomorphism: 2 tau[x, y] != 4 [tau x, tau y]
+    tau = wittrep.shen_tau
+    monkeypatch.setattr(wittrep, "shen_tau", lambda x: tau(x) + tau(x))
+    ok, checked, note = check_shen_tau(2, 2, mode)
+    assert not ok
+    assert note.startswith("mismatch at x=")
+    assert 0 < checked
 
 
 # ---------------------------------------------------------------------------
@@ -153,10 +211,28 @@ def test_pi_squared_zero_randomized():
 
 
 def test_chain_map_commutes_with_action():
-    for P in (apoly(2), alaurent(2)):
-        ok, checked, note = check_chain_map(P, 2, 3)
+    # per k: one intertwining check per operator and cell of F(P, Ext(k)),
+    # plus one pi_(k+1) pi_k check per cell while k + 1 <= n - 1
+    for P, A, D in ((apoly(2), 2, 3), (alaurent(2), 2, 3), (apoly(3), 1, 2)):
+        ok, checked, note = check_chain_map(P, A, D)
         assert ok, note
-        assert checked > 0
+        n, cells = P.n, len(P.window_basis(D))
+        assert checked == sum(
+            (_n_ops(n, A, P.mode) + (k + 1 <= n - 1)) * cells * math.comb(n, k)
+            for k in range(n))
+
+
+def test_chain_map_fails_on_a_flipped_wedge_sign(monkeypatch):
+    # e_2 ^ e_1 = +e_1 ^ e_2 makes pi_1 pi_0 nonzero
+    def flipped(seq):
+        out = wedge_sort(seq)
+        return (-out[0], out[1]) if seq == (2, 1) else out
+
+    monkeypatch.setattr(wittrep, "wedge_sort", flipped)
+    monkeypatch.setattr(wittrep, "_WEDGE_PARTS", {})
+    ok, checked, note = check_chain_map(apoly(2), 2, 3)
+    assert not ok
+    assert note.startswith("pi_1 pi_0 nonzero on ")
 
 
 def test_wedge_sign_bookkeeping():
@@ -221,6 +297,12 @@ def test_torsion_vanishes_on_exterior():
             l, i, j = rng.randint(1, 2), rng.randint(1, 2), rng.randint(1, 2)
             alpha = (rng.randint(0, 2), rng.randint(0, 2))
             assert torsion_operator(F, l, i, j, alpha, v) == {}
+
+
+def test_torsion_suite_checks_100_samples():
+    for P, M in ((alaurent(2), sym_power(2, 2)),
+                 (whittaker([L1, L2]), natural_module(2))):
+        assert check_torsion(FPModule(P, M), 2, 2) == (True, 100, "")
 
 
 def test_torsion_matches_postcondition_randomized():
@@ -341,7 +423,7 @@ def test_l_window_middle_equals_kernel():
     lw = l_window(apoly(2), 1, 4)
     kw = kernel_window(apoly(2), 1, 4)
     assert lw.same_span(kw)
-    assert interior_invariant(lw)
+    assert interior_invariant(lw, 3)
 
 
 def test_ltilde_equals_kernel():
@@ -529,6 +611,19 @@ def test_report_skips_reducible_m():
     nn = tensor_module(natural_module(2), natural_module(2))
     rep = irreducibility_report(apoly(2), nn, 3, 4)
     assert rep.verdict == "skipped" and rep.branch == "m-reducible"
+
+
+def test_report_exterior_witness_checks_operators_up_to_A(monkeypatch):
+    bounds = []
+
+    def spy(sub, *args):
+        bounds.append(args)
+        return interior_invariant(sub, *args)
+
+    monkeypatch.setattr(wittrep, "interior_invariant", spy)
+    rep = irreducibility_report(apoly(2), exterior_power(2, 1), 3, 4)
+    assert rep.certified
+    assert bounds == [(4,)]
 
 
 def test_report_exterior_witness():
