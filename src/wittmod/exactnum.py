@@ -660,8 +660,10 @@ class Echelon:
     lead).
     """
 
-    def __init__(self):
+    def __init__(self, vecs: Iterable[Vec] = ()):
         self.rows: Dict[object, Vec] = {}
+        for v in vecs:
+            self.add(v)
 
     @property
     def dim(self) -> int:
@@ -760,15 +762,8 @@ class ExactMatrix:
         return out
 
 
-def _echelon(mat: ExactMatrix) -> Echelon:
-    ech = Echelon()
-    for row in mat.rows:
-        ech.add(row)
-    return ech
-
-
 def rank(mat: ExactMatrix) -> int:
-    return _echelon(mat).dim
+    return Echelon(mat.rows).dim
 
 
 def kernel_basis(mat: ExactMatrix) -> List[List[Scalar]]:
@@ -779,7 +774,7 @@ def kernel_basis(mat: ExactMatrix) -> List[List[Scalar]]:
     of each row at that row's pivot column, and 0 elsewhere.  The reduced
     form is unique, so so is this basis.
     """
-    rows = _echelon(mat).rows
+    rows = Echelon(mat.rows).rows
     basis = []
     for free in range(mat.ncols):
         if free in rows:

@@ -82,13 +82,13 @@ def _wedge_parts(n: int, k: int) -> List[List[Part]]:
 def _tensor(out: FPMVector, P: WeylModule, pidx: Tuple,
             parts: Sequence[Part], c: Scalar = ONE) -> FPMVector:
     """out += c * sum over (a, j, w) in parts of (t^a d_j p) (x) w, p the P
-    basis vector pidx; returns out.  Every map on P (x) M (the Witt action,
-    pi_k, the torsion closed form) is such a sum."""
+    basis vector pidx; a w entry that is the shared ONE costs no product.
+    Every map on P (x) M (Witt action, pi_k, torsion closed form) is one."""
     for a, j, w in parts:
         if w:
             img = P.act_index(pidx, a, j)
-            vec_axpy(out, [((p2, m2), cp * cm) for p2, cp in img.items()
-                           for m2, cm in w.items()], c)
+            vec_axpy(out, [((q, m), cp if cm is ONE else cp * cm)
+                           for q, cp in img.items() for m, cm in w.items()], c)
     return out
 
 
@@ -187,11 +187,7 @@ def _pi_images(P: WeylModule, k: int,
 
 def _pi_rank(P: WeylModule, k: int, cells: Sequence[Cell]) -> int:
     """The rank of pi_k on the span of `cells`."""
-    ech = Echelon()
-    for img in _pi_images(P, k, cells):
-        if img:
-            ech.add(img)
-    return ech.dim
+    return Echelon(img for img in _pi_images(P, k, cells) if img).dim
 
 
 def torsion_operator(F: FPModule, l: int, i: int, j: int,
@@ -328,21 +324,20 @@ def l_window(P: WeylModule, r: int, D: int) -> WindowedSubspace:
         F_r, D, coordinate_block_intersection(vecs, lambda c: c in window))
 
 
-def _kernel_subspace(F: FPModule, D: int, cols: List[Cell],
-                     images: Sequence[Dict]) -> WindowedSubspace:
-    """The kernel of the linear map sending the window cell cols[i] to the
-    sparse vector images[i], whose keys are any sortable row labels: the
-    images are the columns of the matrix handed to `kernel_basis`, its rows
-    taken in key order."""
+def _kernel_subspace(basis: Sequence[FPMVector],
+                     images: Sequence[Dict]) -> List[FPMVector]:
+    """The kernel of the linear map sending basis[i] to the sparse vector
+    images[i] (keys: any sortable row labels), one vector per free column
+    of `kernel_basis` on the matrix with those columns and its rows in key
+    order, each vector the matching combination of `basis`."""
     rows: Dict[object, Dict[int, Scalar]] = {}
     for ci, img in enumerate(images):
         for key, x in img.items():
             rows.setdefault(key, {})[ci] = x
-    mat = ExactMatrix(len(rows), len(cols), [rows[k] for k in sorted(rows)])
-    ech = Echelon()
-    for kv in kernel_basis(mat):
-        ech.add({cols[ci]: x for ci, x in enumerate(kv) if not x.is_zero()})
-    return WindowedSubspace(F, D, ech)
+    mat = ExactMatrix(len(rows), len(basis), [rows[k] for k in sorted(rows)])
+    return [vec_axpy({}, [(c, x * y) for b, x in zip(basis, kv)
+                          if not x.is_zero() for c, y in b.items()])
+            for kv in kernel_basis(mat)]
 
 
 def kernel_window(P: WeylModule, r: int, D: int) -> WindowedSubspace:
@@ -353,32 +348,34 @@ def kernel_window(P: WeylModule, r: int, D: int) -> WindowedSubspace:
         raise ValueError("top degree")
     F_r = FPModule(P, exterior_power(n, r))
     cols = F_r.window_basis(D)
-    return _kernel_subspace(F_r, D, cols, _pi_images(P, r, cols))
+    return WindowedSubspace(F_r, D, Echelon(_kernel_subspace(
+        [{c: ONE} for c in cols], _pi_images(P, r, cols))))
 
 
 def ltilde_window(P: WeylModule, r: int, D: int, A: int) -> WindowedSubspace:
     """The transporter into the image subspace, from its defining property:
-    window vectors v with t^alpha d_j v inside the (suitably deepened)
-    image window for every |alpha| <= A.  Computed purely from that
-    invariance condition; no kernel shortcut."""
+    window vectors v with t^alpha d_j v inside the image window deepened by
+    the operator's raise bound, for every |alpha| <= A.  Computed purely
+    from that invariance condition, with no kernel shortcut, by shrinking a
+    candidate basis K (first the window cells) one operator at a time: K
+    becomes the kernel of v -> t^alpha d_j v mod that image window on K."""
     n = P.n
     if not 0 <= r <= n:
         raise ValueError("wedge degree out of range")
     F_r = FPModule(P, exterior_power(n, r))
-    cols = F_r.window_basis(D)
-    ops = operators(n, A, P.mode)
+    K: List[FPMVector] = [{c: ONE} for c in F_r.window_basis(D)]
     deep: Dict[int, WindowedSubspace] = {}
-    # per cell, {(operator index, out-cell): residual mod the image window}
-    images: List[Dict[Tuple[int, Cell], Scalar]] = [{} for _ in cols]
-    for oi, (alpha, j) in enumerate(ops):
+    for alpha, j in operators(n, A, P.mode):
         dprime = D + max(0, P.op_raise_bound(alpha, j))
         if dprime not in deep:
             deep[dprime] = l_window(P, r, dprime)
-        lw = deep[dprime]
-        for img, cell in zip(images, cols):
-            res = lw.residual(F_r.act_cell(tuple(alpha), j, cell))
-            img.update(((oi, oc), x) for oc, x in res.items())
-    return _kernel_subspace(F_r, D, cols, images)
+        res = [deep[dprime].residual(F_r.act(alpha, j, v)) for v in K]
+        if not any(res):
+            continue
+        K = _kernel_subspace(K, res)
+        if not K:
+            break
+    return WindowedSubspace(F_r, D, Echelon(K))
 
 
 def interior_invariant(sub: WindowedSubspace, bound: int) -> bool:
@@ -503,13 +500,10 @@ def fingerprint(P: WeylModule, M: GlModule, D: int) -> Fingerprint:
             key = "(" + ", ".join(str(x) for x in rep) + ")"
             counts[key] = counts.get(key, 0) + 1
         return Fingerprint("weight", tuple(sorted(counts.items())))
-    dims = []
-    prev = 0
-    for d in range(D + 1):
-        cur = len(P.window_basis(d))
-        dims.append(("level %d" % d, (cur - prev) * M.dim))
-        prev = cur
-    return Fingerprint("graded", tuple(dims))
+    sizes = [0] + [len(P.window_basis(d)) for d in range(D + 1)]
+    return Fingerprint("graded", tuple(
+        ("level %d" % d, (sizes[d + 1] - sizes[d]) * M.dim)
+        for d in range(D + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -680,11 +674,17 @@ def check_chain_map(P: WeylModule, bound: int, D: int) -> Tuple[bool, int, str]:
         F_k, F_k1 = F_k1, FPModule(P, exterior_power(n, k + 1))
         cells = F_k.window_basis(D)
         images = _pi_images(P, k, cells)
+        # cell -> pi_k(cell): the window's images, plus cells met on the way
+        memo = dict(zip(cells, images))
         for alpha, j in ops:
             for cell, img in zip(cells, images):
                 checked += 1
-                if pi_map(P, k, F_k.act_cell(alpha, j, cell)) != \
-                        F_k1.act(alpha, j, img):
+                lhs: FPMVector = {}
+                for c, x in F_k.act_cell(alpha, j, cell).items():
+                    if c not in memo:
+                        memo[c] = pi_map(P, k, {c: ONE})
+                    vec_axpy(lhs, memo[c].items(), x)
+                if lhs != F_k1.act(alpha, j, img):
                     return (False, checked,
                             "pi_%d vs t^%s d_%d on %s"
                             % (k, alpha, j, F_k.label(cell)))

@@ -9,7 +9,10 @@ import pytest
 
 from wittmod import wittrep
 from wittmod.cli import main, parse_p
-from wittmod.exactnum import ONE, Scalar, vec_axpy, vec_sub, vec_clean
+from wittmod.exactnum import (
+    Echelon, ExactMatrix, ONE, Scalar, kernel_basis, vec_axpy, vec_sub,
+    vec_clean,
+)
 from wittmod.glmod import (
     exterior_power, natural_module, scalar_module, sym_power, tensor_module,
     wedge_sort,
@@ -20,8 +23,9 @@ from wittmod.wittrep import (
     FPModule, _saturation_report, _tensor, check_action_axiom,
     check_chain_map, check_shen_tau, check_torsion, complex_homology,
     fingerprint, interior_invariant, irreducibility_report, kernel_window,
-    l_window, ltilde_window, pi_map, saturation_seeds, submodule_closure,
-    torsion_expected, torsion_matches, torsion_operator, weight_support,
+    l_window, ltilde_window, operators, pi_map, saturation_seeds,
+    submodule_closure, torsion_expected, torsion_matches, torsion_operator,
+    weight_support,
 )
 
 
@@ -41,6 +45,25 @@ def test_act_on_constants():
     F = FPModule(apoly(2), exterior_power(2, 1))
     out = F.act((1, 0), 2, {((0, 0), 1): ONE})
     assert out == {((0, 0), 0): ONE}
+
+
+def test_tensor_forms_no_product_with_a_unit_part(monkeypatch):
+    # a part whose M-vector entry is the shared ONE adds act_index's image
+    # without one Scalar product of its own
+    calls = []
+    mul = Scalar.__mul__
+
+    def spy(self, other):
+        calls.append(1)
+        return mul(self, other)
+    P = whittaker([L1, L2])
+    P.act_index((1, 0), (2, 1), 1)  # fills the word table
+    monkeypatch.setattr(Scalar, "__mul__", spy)
+    img = P.act_index((1, 0), (2, 1), 1)
+    own = len(calls)
+    out = _tensor({}, P, (1, 0), [((2, 1), 1, {0: ONE})])
+    assert len(calls) == 2 * own
+    assert out == {(q, 0): x for q, x in img.items()}
 
 
 def test_act_mixed_terms():
@@ -442,6 +465,59 @@ def test_ltilde_equals_kernel_beyond_apoly(expr, r, dim):
     kw = kernel_window(P, r, 2)
     assert (lt.dim, kw.dim) == (dim, dim)
     assert lt.same_span(kw)
+
+
+def _ltilde_all_at_once(P, r, D, A):
+    """Reference transporter: one kernel over the residuals of every
+    (operator, window cell) pair, rows keyed (operator index, out-cell)."""
+    F = FPModule(P, exterior_power(P.n, r))
+    cols = F.window_basis(D)
+    deep = {}
+    rows = {}
+    for oi, (alpha, j) in enumerate(operators(P.n, A, P.mode)):
+        dprime = D + max(0, P.op_raise_bound(alpha, j))
+        if dprime not in deep:
+            deep[dprime] = l_window(P, r, dprime)
+        for ci, cell in enumerate(cols):
+            res = deep[dprime].residual(F.act_cell(alpha, j, cell))
+            for oc, x in res.items():
+                rows.setdefault((oi, oc), {})[ci] = x
+    mat = ExactMatrix(len(rows), len(cols), [rows[k] for k in sorted(rows)])
+    return wittrep.WindowedSubspace(F, D, Echelon(
+        {cols[ci]: x for ci, x in enumerate(kv) if not x.is_zero()}
+        for kv in kernel_basis(mat)))
+
+
+@pytest.mark.parametrize("expr, n, r, D, A", [
+    ("Whittaker(l1,l2)", 2, 1, 3, 4), ("Whittaker(-2,-3)", 2, 1, 3, 4),
+    ("Apoly", 3, 1, 3, 4), ("Alaurent", 2, 1, 3, 4),
+    ("Apoly", 2, 0, 4, 5), ("Apoly", 2, 1, 4, 5), ("Apoly", 2, 2, 4, 5),
+    ("Quot", 2, 0, 2, 3), ("Quot", 2, 1, 2, 3),
+    ("TL(l1,l2)", 2, 0, 2, 3), ("TL(l1,l2)", 2, 1, 2, 3),
+    ("Whittaker(l1,l2)", 2, 0, 2, 3), ("Whittaker(l1,l2)", 2, 1, 2, 3)])
+def test_ltilde_matches_all_at_once_reference(expr, n, r, D, A):
+    # the operator-by-operator intersection reaches the same reduced rows
+    P = parse_p(expr, n)
+    lt = ltilde_window(P, r, D, A)
+    ref = _ltilde_all_at_once(P, r, D, A)
+    assert lt.same_span(ref)
+    assert lt.basis() == ref.basis()
+
+
+def test_ltilde_residuals_per_operator(monkeypatch):
+    # one residual per cell for the first operator (20 cells), which cuts
+    # the candidates to 6; then 6 per operator for the other 29, not one
+    # per (operator, cell) pair (30 * 20 = 600)
+    calls = []
+    residual = wittrep.WindowedSubspace.residual
+
+    def spy(self, vec):
+        calls.append(1)
+        return residual(self, vec)
+    monkeypatch.setattr(wittrep.WindowedSubspace, "residual", spy)
+    lt = ltilde_window(whittaker([L1, L2]), 1, 3, 4)
+    assert lt.dim == 6
+    assert len(calls) == 20 + 29 * 6
 
 
 def test_membership_identities_mod_l():
