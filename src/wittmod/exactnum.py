@@ -13,12 +13,20 @@ positive leading coefficient under graded-lex order.  num times the
 monomial that clears its negative exponents is coprime to den, integer
 content included.  So a monomial denominator l^k is stored as the exponent
 -k in num, and a Laurent polynomial such as (l1 + 1)/l1 = 1 + l1^-1 has
-den == 1 and multiplies and adds without any gcd.  The form is unique, so
-equality and hashing are structural.  The polynomial gcd and exact-division
-helpers only ever see true polynomials; `_reduce` shifts Laurent input by
-monomials around them.  No dict of a Scalar is ever mutated, so scalars
-share them: the den of an integer and of a sum or product of Laurent
-polynomials is the one dict `_PONE`.
+den == 1 and multiplies and adds without any gcd.  The polynomial gcd and
+exact-division helpers only ever see true polynomials; `_reduce` shifts
+Laurent input by monomials around them.  No dict of a Scalar is ever
+mutated, so scalars share them: the den of every Laurent polynomial is the
+one dict `_PONE`.
+
+The form is unique, so Scalars are hash-consed: every construction returns
+the one object of its value from a process-wide table (`_INTERN`), which
+keeps each value for the life of the process.  Equality is therefore
+identity and the hash is the object's own, so comparing dicts of scalars
+never looks inside them.  The tables are module-level by design: one value
+has one object only if every caller shares the same table.  Products are
+memoized on the operand pair in `_MUL`, which is emptied when it reaches
+`_MUL_CAP` entries; a product computed again is the same interned object.
 """
 
 from __future__ import annotations
@@ -31,6 +39,13 @@ Mono = Tuple[Tuple[str, int], ...]
 Poly = Dict[Mono, int]
 
 _PONE: Poly = {(): 1}
+
+# canonical value -> its one Scalar: an int for an integer constant, the
+# sorted num items for other Laurent polynomials, else (num items, den items)
+_INTERN: Dict[object, "Scalar"] = {}
+# (a, b) -> a * b; emptied at the cap, which costs recomputation only
+_MUL: Dict[Tuple["Scalar", "Scalar"], "Scalar"] = {}
+_MUL_CAP = 1 << 13
 
 
 # ---------------------------------------------------------------------------
@@ -390,22 +405,37 @@ class Scalar:
     docstring: num a Laurent polynomial, den a true polynomial without
     monomial factors, positive-led and coprime to num.  Rational constants
     have num and den in {(): c}; Laurent polynomials, such as every
-    coefficient of a Whittaker module, have den == 1."""
+    coefficient of a Whittaker module, have den == 1.  There is one object
+    per value, so `==` is `is`."""
 
-    __slots__ = ("num", "den", "_hash")
+    __slots__ = ("num", "den")
 
-    def __init__(self, num: Poly, den: Poly, _reduced: bool = False):
+    def __new__(cls, num: Poly, den: Poly, _reduced: bool = False):
         if not _reduced:
             num, den = _reduce(num, den)
-        self.num = num
-        self.den = den
-        self._hash: Optional[int] = None
+        if den == _PONE:
+            den = _PONE
+            key = (num.get((), 0) if _is_const(num)
+                   else tuple(sorted(num.items())))
+        else:
+            key = (tuple(sorted(num.items())), tuple(sorted(den.items())))
+        s = _INTERN.get(key)
+        if s is None:
+            s = _INTERN[key] = object.__new__(cls)
+            s.num = num
+            s.den = den
+        return s
+
+    def __reduce__(self):
+        # copies and unpickled scalars come back through __new__
+        return Scalar, (self.num, self.den, True)
 
     # -- constructors
 
     @staticmethod
     def integer(k: int) -> "Scalar":
-        return Scalar(_pconst(k), _PONE, _reduced=True)
+        s = _INTERN.get(k)
+        return Scalar(_pconst(k), _PONE, _reduced=True) if s is None else s
 
     @staticmethod
     def rational(p: int, q: int = 1) -> "Scalar":
@@ -420,10 +450,10 @@ class Scalar:
     # -- predicates and views
 
     def is_zero(self) -> bool:
-        return not self.num
+        return self is _S_ZERO
 
     def is_one(self) -> bool:
-        return self.num == _PONE and self.den == _PONE
+        return self is _S_ONE
 
     def is_rational(self) -> bool:
         return _is_const(self.num) and _is_const(self.den)
@@ -445,12 +475,12 @@ class Scalar:
     # -- arithmetic
 
     def __add__(self, other: "Scalar") -> "Scalar":
-        n1, d1, n2, d2 = self.num, self.den, other.num, other.den
-        if not n1:
+        if self is _S_ZERO:
             return other
-        if not n2:
+        if other is _S_ZERO:
             return self
-        if d1 == _PONE and d2 == _PONE:
+        n1, d1, n2, d2 = self.num, self.den, other.num, other.den
+        if d1 is _PONE and d2 is _PONE:
             return Scalar(_padd(n1, n2), _PONE, _reduced=True)
         if _is_const(n1) and _is_const(n2) and _is_const(d1) and _is_const(d2):
             p1, q1, p2, q2 = n1[()], d1[()], n2[()], d2[()]
@@ -468,15 +498,23 @@ class Scalar:
         return Scalar(_pneg(self.num), self.den, _reduced=True)
 
     def __mul__(self, other: "Scalar") -> "Scalar":
-        n1, d1, n2, d2 = self.num, self.den, other.num, other.den
-        if not n1 or not n2:
+        if self is _S_ZERO or other is _S_ZERO:
             return _S_ZERO
-        # canonical form: a scalar is 1 exactly when num == den == 1
-        if d2 == _PONE and n2 == _PONE:
+        if other is _S_ONE:
             return self
-        if d1 == _PONE and n1 == _PONE:
+        if self is _S_ONE:
             return other
-        if d1 == _PONE and d2 == _PONE:
+        key = (self, other)
+        out = _MUL.get(key)
+        if out is None:
+            if len(_MUL) >= _MUL_CAP:
+                _MUL.clear()
+            out = _MUL[key] = self._product(other)
+        return out
+
+    def _product(self, other: "Scalar") -> "Scalar":
+        n1, d1, n2, d2 = self.num, self.den, other.num, other.den
+        if d1 is _PONE and d2 is _PONE:
             return Scalar(_pmul(n1, n2), _PONE, _reduced=True)
         if _is_const(n1) and _is_const(n2) and _is_const(d1) and _is_const(d2):
             p1, q1, p2, q2 = n1[()], d1[()], n2[()], d2[()]
@@ -492,29 +530,26 @@ class Scalar:
         return Scalar(num, den, _reduced=True)
 
     def __truediv__(self, other: "Scalar") -> "Scalar":
-        if not other.num:
+        if other is _S_ZERO:
             raise ZeroDivisionError("zero divisor")
         return self * Scalar(other.den, other.num)
 
     def inv(self) -> "Scalar":
-        if not self.num:
+        if self is _S_ZERO:
             raise ZeroDivisionError("zero divisor")
         return Scalar(self.den, self.num)
 
     # -- comparison / hashing / display
 
     def __eq__(self, other) -> bool:
+        if isinstance(other, Scalar):
+            return self is other
         if isinstance(other, int):
-            other = Scalar.integer(other)
-        if not isinstance(other, Scalar):
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
+            # an integer no Scalar has been built for equals no Scalar
+            return self is _INTERN.get(other)
+        return NotImplemented
 
-    def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((frozenset(self.num.items()),
-                               frozenset(self.den.items())))
-        return self._hash
+    __hash__ = object.__hash__
 
     def __str__(self) -> str:
         # rendered as a fraction of true polynomials: the monomial that
@@ -535,7 +570,7 @@ class Scalar:
         return "Scalar(%s)" % self
 
     def __bool__(self) -> bool:
-        return bool(self.num)
+        return self is not _S_ZERO
 
 
 def _cancel(n: Poly, d: Poly) -> Tuple[Poly, Poly]:

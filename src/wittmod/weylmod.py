@@ -329,7 +329,7 @@ class WeylModule:
                 word = self._word(key)
             if not word:
                 return {}
-            # the seed and unit words hold the shared ONE: skip those products
+            # every coefficient 1 is the object ONE: skip those products
             terms = [(head + (k2,),
                       c2 if c is ONE else c if c2 is ONE else c * c2)
                      for head, c in terms for k2, c2 in word]

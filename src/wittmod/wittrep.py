@@ -82,7 +82,7 @@ def _wedge_parts(n: int, k: int) -> List[List[Part]]:
 def _tensor(out: FPMVector, P: WeylModule, pidx: Tuple,
             parts: Sequence[Part], c: Scalar = ONE) -> FPMVector:
     """out += c * sum over (a, j, w) in parts of (t^a d_j p) (x) w, p the P
-    basis vector pidx; a w entry that is the shared ONE costs no product.
+    basis vector pidx; a w entry of 1 (always the object ONE) costs no product.
     Every map on P (x) M (Witt action, pi_k, torsion closed form) is one."""
     for a, j, w in parts:
         if w:

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -28,10 +30,10 @@ def test_canonical_reduction():
     assert (L1 * L1 - S(1)) / (L1 + S(1)) == L1 - S(1)
     assert Scalar.rational(2, 4) == Scalar.rational(1, 2)
     assert Scalar.rational(3, -6) == Scalar.rational(-1, 2)
-    # denominator sign normalization makes equality structural
+    # denominator sign normalization makes the two routes one value
     a = S(1) / (S(0) - L1)
     b = (S(0) - S(1)) / L1
-    assert a == b and hash(a) == hash(b)
+    assert a == b and hash(a) == hash(b) and a is b
 
 
 def test_not_equal_follows_equality():
@@ -375,16 +377,19 @@ def test_span_dim():
     assert ech.dim == 2
 
 
+def _scalars():
+    """Integers, and integers plus k*l1 + 1 for small k."""
+    from hypothesis import strategies as st
+    base = st.integers(-20, 20).map(S)
+    sym = st.integers(-3, 3).map(lambda k: L1 * S(k) + S(1))
+    return st.one_of(base, st.tuples(base, sym).map(lambda t: t[0] + t[1]))
+
+
 def test_hypothesis_field_axioms():
-    hyp = pytest.importorskip("hypothesis")
-    from hypothesis import given, settings, strategies as st
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings
 
-    def scalars():
-        base = st.integers(-20, 20).map(S)
-        sym = st.integers(-3, 3).map(lambda k: L1 * S(k) + S(1))
-        return st.one_of(base, st.tuples(base, sym).map(lambda t: t[0] + t[1]))
-
-    @given(scalars(), scalars(), scalars())
+    @given(_scalars(), _scalars(), _scalars())
     @settings(max_examples=60, deadline=None)
     def inner(a, b, c):
         assert (a + b) * c == a * c + b * c
@@ -394,3 +399,61 @@ def test_hypothesis_field_axioms():
             assert (a / c) * c == a
 
     inner()
+
+
+# -- hash-consing: one object per value
+
+def test_equal_values_built_by_different_routes_are_one_object():
+    assert Scalar.rational(6, 4) is Scalar.rational(3, 2)
+    assert (L1 + S(1)) * (L1 - S(1)) is L1 * L1 - S(1)
+    assert L1 * L1.inv() is ONE and S(2) - S(1) is ONE
+    # 1/l1 by inversion, by division and as a Laurent numerator
+    laurent = Scalar({(("l1", -1),): 1}, {(): 1})
+    assert L1.inv() is laurent and S(1) / L1 is laurent
+    assert (L1 - L1) is S(0) and (L1 - L1).is_zero()
+
+
+def test_hypothesis_equality_is_identity():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings
+
+    @given(_scalars(), _scalars())
+    @settings(max_examples=200, deadline=None)
+    def inner(x, y):
+        assert (x == y) == (x is y)
+        assert (x != y) == (x is not y)
+        assert (x * y == y * x) and (x * y is y * x)
+
+    inner()
+
+
+def test_products_past_the_memo_cap_are_the_interned_objects(monkeypatch):
+    monkeypatch.setattr(exactnum, "_MUL_CAP", 8)
+    atoms = ([L1 + S(k) for k in range(5)]
+             + [S(1) / (L2 + S(k)) for k in range(1, 4)]
+             + [Scalar.rational(k, 3) for k in (1, 2, 4)])
+    pairs = [(a, b) for a in atoms for b in atoms]
+    first = [a * b for a, b in pairs]
+    # the memo was emptied many times on the way and never exceeds its cap
+    assert len(exactnum._MUL) <= 8
+    assert all(a * b is x for (a, b), x in zip(pairs, first))
+    exactnum._MUL.clear()
+    assert all(a._product(b) is x for (a, b), x in zip(pairs, first))
+    # and each is the value that reducing the plain product gives
+    mul = exactnum._pmul
+    assert all(x is Scalar(mul(a.num, b.num), mul(a.den, b.den))
+               for (a, b), x in zip(pairs, first))
+
+
+def test_integer_comparison_kept():
+    assert Scalar.integer(3) == 3 and 3 == Scalar.integer(3)
+    assert Scalar.integer(3) != 4 and Scalar.rational(6, 2) == 3
+    assert L1 != 1 and S(0) == 0 and Scalar.integer(-7) == -7
+    # an integer no Scalar was built for equals no Scalar
+    assert S(5) != 10 ** 40 and Scalar.rational(1, 2) != 0
+
+
+def test_copies_and_pickles_keep_the_one_object():
+    for x in (ONE, S(-4), Scalar.rational(3, 7), (L1 + S(2)) / (L2 - S(1))):
+        assert copy.copy(x) is x and copy.deepcopy(x) is x
+        assert pickle.loads(pickle.dumps(x)) is x
