@@ -24,9 +24,11 @@ the one object of its value from a process-wide table (`_INTERN`), which
 keeps each value for the life of the process.  Equality is therefore
 identity and the hash is the object's own, so comparing dicts of scalars
 never looks inside them.  The tables are module-level by design: one value
-has one object only if every caller shares the same table.  Products are
-memoized on the operand pair in `_MUL`, which is emptied when it reaches
-`_MUL_CAP` entries; a product computed again is the same interned object.
+has one object only if every caller shares the same table.  Products and
+sums are memoized on the operand pair, in `_MUL` and `_ADD`.  The two share
+one cap, `_MUL_CAP`: each table is emptied when it reaches that many
+entries, so together they hold at most twice the cap.  A product or sum
+computed again is the same interned object.
 """
 
 from __future__ import annotations
@@ -43,9 +45,11 @@ _PONE: Poly = {(): 1}
 # canonical value -> its one Scalar: an int for an integer constant, the
 # sorted num items for other Laurent polynomials, else (num items, den items)
 _INTERN: Dict[object, "Scalar"] = {}
-# (a, b) -> a * b; emptied at the cap, which costs recomputation only
+# (a, b) -> a * b and (a, b) -> a + b; each table is emptied when it holds
+# the cap, which costs recomputation only
 _MUL: Dict[Tuple["Scalar", "Scalar"], "Scalar"] = {}
-_MUL_CAP = 1 << 13
+_ADD: Dict[Tuple["Scalar", "Scalar"], "Scalar"] = {}
+_MUL_CAP = 1 << 12
 
 
 # ---------------------------------------------------------------------------
@@ -479,6 +483,15 @@ class Scalar:
             return other
         if other is _S_ZERO:
             return self
+        key = (self, other)
+        out = _ADD.get(key)
+        if out is None:
+            if len(_ADD) >= _MUL_CAP:
+                _ADD.clear()
+            out = _ADD[key] = self._sum(other)
+        return out
+
+    def _sum(self, other: "Scalar") -> "Scalar":
         n1, d1, n2, d2 = self.num, self.den, other.num, other.den
         if d1 is _PONE and d2 is _PONE:
             return Scalar(_padd(n1, n2), _PONE, _reduced=True)

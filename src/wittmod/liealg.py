@@ -114,18 +114,17 @@ def witt_bracket(x: WittElement, y: WittElement) -> WittElement:
     """[sum f_j d_j, sum g_i d_i] = sum_i sum_j (f_j d_j(g_i) - g_j d_j(f_i)) d_i."""
     x._check(y)
     coeffs = []
-    for i in range(1, x.n + 1):
-        acc = PolyElement.zero(x.n, x.mode)
-        gi = y.coeffs[i - 1]
-        fi = x.coeffs[i - 1]
-        for j in range(1, x.n + 1):
-            fj = x.coeffs[j - 1]
-            gj = y.coeffs[j - 1]
-            if not fj.is_zero():
-                acc = acc + fj * gi.partial(j)
-            if not gj.is_zero():
-                acc = acc - gj * fi.partial(j)
-        coeffs.append(acc)
+    for fi, gi in zip(x.coeffs, y.coeffs):
+        # the d_i coefficient, accumulated term by term in one sparse dict
+        acc: Dict[MultiIndex, Scalar] = {}
+        for j, (fj, gj) in enumerate(zip(x.coeffs, y.coeffs), 1):
+            for f, g, neg in ((fj, gi, False), (gj, fi, True)):
+                if f.terms and g.terms:
+                    dg = g.partial(j).terms.items()
+                    for e1, c1 in f.terms.items():
+                        vec_axpy(acc, [(midx_add(e1, e2), c2) for e2, c2 in dg],
+                                 -c1 if neg else c1)
+        coeffs.append(PolyElement(x.n, x.mode, acc))
     return WittElement(x.n, x.mode, coeffs)
 
 

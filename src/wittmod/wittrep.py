@@ -96,8 +96,11 @@ class FPModule:
     """P (x) M with the pulled-back Witt action.
 
     Vectors are sparse dicts {(P-index, M-index): Scalar}.  Monomial
-    actions on basis cells are memoized, so repeated operator sweeps over
-    a window pay for each (operator, cell) pair once.
+    actions on basis cells are memoized in one column table per operator,
+    `column(alpha, j)`, mapping a cell to its image ({} when it is 0), so
+    repeated operator sweeps over a window pay for each (operator, cell)
+    pair once.  `act_cell` is the only place an image is built; a sweep
+    fetches an operator's table once and calls `act_cell` only on a miss.
     """
 
     def __init__(self, P: WeylModule, M: GlModule):
@@ -109,7 +112,8 @@ class FPModule:
         self.n = P.n
         self.mode = P.mode
         self.name = "F(%s, %s)" % (P.kind, M.name)
-        self._cell_cache: Dict[Tuple, FPMVector] = {}
+        self._columns: Dict[Tuple[MultiIndex, int],
+                            Dict[Cell, FPMVector]] = {}
 
     def window_basis(self, D: int) -> List[Cell]:
         return [(pidx, m)
@@ -125,10 +129,17 @@ class FPModule:
     def label(self, cell: Cell) -> str:
         return "%s(x)%s" % (self.P.label(cell[0]), self.M.labels[cell[1]])
 
+    def column(self, alpha: MultiIndex, j: int) -> Dict[Cell, FPMVector]:
+        """The memo of t^alpha d_j: cell -> image, for the cells met so far."""
+        table = self._columns.get((alpha, j))
+        if table is None:
+            table = self._columns[(alpha, j)] = {}
+        return table
+
     def act_cell(self, alpha: MultiIndex, j: int, cell: Cell) -> FPMVector:
         """t^alpha d_j applied to a single basis cell (memoized)."""
-        key = (alpha, j, cell)
-        hit = self._cell_cache.get(key)
+        table = self.column(alpha, j)
+        hit = table.get(cell)
         if hit is not None:
             return hit
         pidx, midx = cell
@@ -138,15 +149,12 @@ class FPModule:
             if col:
                 parts.append((alpha[:i - 1] + (a_i - 1,) + alpha[i:], None,
                               vec_scale(col, Scalar.integer(a_i))))
-        out = self._cell_cache[key] = _tensor({}, self.P, pidx, parts)
+        out = table[cell] = _tensor({}, self.P, pidx, parts)
         return out
 
     def act(self, alpha: MultiIndex, j: int, vec: FPMVector) -> FPMVector:
         alpha = tuple(alpha)
-        out: FPMVector = {}
-        for cell, c in vec.items():
-            vec_axpy(out, self.act_cell(alpha, j, cell).items(), c)
-        return out
+        return _apply(self, self.column(alpha, j), alpha, j, vec, {})
 
     def weight_of(self, cell: Cell) -> Tuple[Scalar, ...]:
         """Joint eigenvalue of the t_j d_j on a basis cell."""
@@ -158,6 +166,18 @@ class FPModule:
 
     def __repr__(self) -> str:
         return "FPModule(%s)" % self.name
+
+
+def _apply(F: FPModule, table: Dict[Cell, FPMVector], alpha: MultiIndex,
+           j: int, vec: FPMVector, out: FPMVector) -> FPMVector:
+    """out += t^alpha d_j vec in place, reading images from the operator's
+    column table `table` and building misses with `F.act_cell`."""
+    for cell, c in vec.items():
+        img = table.get(cell)
+        if img is None:
+            img = F.act_cell(alpha, j, cell)
+        vec_axpy(out, img.items(), c)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -644,18 +664,25 @@ def check_action_axiom(F: FPModule, bound: int, D: int) -> Tuple[bool, int, str]
     ops = operators(F.n, bound, F.mode)
     elems = [WittElement.monomial(F.n, F.mode, a, j) for a, j in ops]
     cells = F.window_basis(D)
+    # each operator's column table, and its images of the window cells
+    tables = [F.column(a, j) for a, j in ops]
+    images = [[F.act_cell(a, j, cell) for cell in cells] for a, j in ops]
     checked = 0
     for ai, (xa, xj) in enumerate(ops):
         for bi in range(ai + 1, len(ops)):
             ya, yj = ops[bi]
-            br = witt_bracket(elems[ai], elems[bi]).monomials()
-            for cell in cells:
+            br = [(F.column(alpha, j), alpha, j, c) for alpha, j, c
+                  in witt_bracket(elems[ai], elems[bi]).monomials()]
+            for cell, xv, yv in zip(cells, images[ai], images[bi]):
                 lhs: FPMVector = {}
-                for alpha, j, c in br:
-                    vec_axpy(lhs, F.act_cell(alpha, j, cell).items(), c)
-                vec_axpy(lhs, F.act(ya, yj, F.act_cell(xa, xj, cell)).items())
+                for table, alpha, j, c in br:
+                    img = table.get(cell)
+                    if img is None:
+                        img = F.act_cell(alpha, j, cell)
+                    vec_axpy(lhs, img.items(), c)
+                _apply(F, tables[bi], ya, yj, xv, lhs)
                 checked += 1
-                if lhs != F.act(xa, xj, F.act_cell(ya, yj, cell)):
+                if lhs != _apply(F, tables[ai], xa, xj, yv, {}):
                     return (False, checked,
                             "pair t^%s d_%d, t^%s d_%d on %s"
                             % (xa, xj, ya, yj, F.label(cell)))

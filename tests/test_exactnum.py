@@ -445,6 +445,25 @@ def test_products_past_the_memo_cap_are_the_interned_objects(monkeypatch):
                for (a, b), x in zip(pairs, first))
 
 
+def test_sums_past_the_memo_cap_are_the_interned_objects(monkeypatch):
+    # sums share the product memo's cap
+    monkeypatch.setattr(exactnum, "_MUL_CAP", 8)
+    atoms = ([L1 + S(k) for k in range(5)]
+             + [S(1) / (L2 + S(k)) for k in range(1, 4)]
+             + [Scalar.rational(k, 3) for k in (1, 2, 4)] + [L1 * L2, -L1])
+    pairs = [(a, b) for a in atoms for b in atoms]
+    first = [a + b for a, b in pairs]
+    assert len(exactnum._ADD) <= 8
+    assert all(a + b is x for (a, b), x in zip(pairs, first))
+    exactnum._ADD.clear()
+    assert all(a._sum(b) is x for (a, b), x in zip(pairs, first))
+    # and each is the value that reducing the plain sum gives
+    add, mul = exactnum._padd, exactnum._pmul
+    assert all(x is Scalar(add(mul(a.num, b.den), mul(b.num, a.den)),
+                           mul(a.den, b.den))
+               for (a, b), x in zip(pairs, first))
+
+
 def test_integer_comparison_kept():
     assert Scalar.integer(3) == 3 and 3 == Scalar.integer(3)
     assert Scalar.integer(3) != 4 and Scalar.rational(6, 2) == 3

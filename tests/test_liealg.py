@@ -82,6 +82,58 @@ def test_witt_jacobi_randomized():
         assert jac.is_zero()
 
 
+def _bracket_reference(x, y):
+    # witt_bracket as ring operations on PolyElements, one per + - *
+    coeffs = []
+    for i in range(1, x.n + 1):
+        acc = PolyElement.zero(x.n, x.mode)
+        gi = y.coeffs[i - 1]
+        fi = x.coeffs[i - 1]
+        for j in range(1, x.n + 1):
+            fj = x.coeffs[j - 1]
+            gj = y.coeffs[j - 1]
+            if not fj.is_zero():
+                acc = acc + fj * gi.partial(j)
+            if not gj.is_zero():
+                acc = acc - gj * fi.partial(j)
+        coeffs.append(acc)
+    return WittElement(x.n, x.mode, coeffs)
+
+
+@pytest.mark.parametrize("n, A, mode", [(2, 2, LAURENT), (2, 3, PLUS),
+                                        (3, 2, PLUS), (3, 1, LAURENT)])
+def test_witt_bracket_matches_ring_operations_on_monomials(n, A, mode):
+    ops = [W(n, mode, a, j) for a in exponents_within(n, A, mode)
+           for j in range(1, n + 1)]
+    for x, y in itertools.product(ops, repeat=2):
+        got, want = witt_bracket(x, y), _bracket_reference(x, y)
+        assert got == want
+        assert got.monomials() == want.monomials()
+
+
+def test_witt_bracket_matches_ring_operations_on_sums():
+    # several terms per coefficient, symbolic coefficients, cancellations
+    rng = random.Random(31)
+    l1 = Scalar.param("l1")
+    for _ in range(40):
+        n = rng.randint(1, 3)
+        mode = rng.choice([PLUS, LAURENT])
+        lo = 0 if mode == PLUS else -2
+
+        def rand_elt():
+            z = WittElement.zero(n, mode)
+            for _ in range(rng.randint(1, 4)):
+                a = tuple(rng.randint(lo, 2) for _ in range(n))
+                c = S(rng.randint(-2, 2)) + l1 * S(rng.randint(-1, 1))
+                z = z + WittElement.monomial(n, mode, a, rng.randint(1, n), c)
+            return z
+
+        x, y = rand_elt(), rand_elt()
+        got, want = witt_bracket(x, y), _bracket_reference(x, y)
+        assert got == want
+        assert got.monomials() == want.monomials()
+
+
 def test_weyl_defining_relation():
     # d_i t_i = t_i d_i + 1, and d_i t_j = t_j d_i for i != j
     n = 2

@@ -17,7 +17,7 @@ from wittmod.glmod import (
     exterior_power, natural_module, scalar_module, sym_power, tensor_module,
     wedge_sort,
 )
-from wittmod.liealg import WittElement
+from wittmod.liealg import WittElement, witt_bracket
 from wittmod.weylmod import alaurent, apoly, laurent_quot, twisted_laurent, whittaker
 from wittmod.wittrep import (
     FPModule, _saturation_report, _tensor, check_action_axiom,
@@ -147,6 +147,62 @@ def test_action_axiom_fails_on_a_wrong_action(monkeypatch):
     assert not ok
     assert note == "pair t^(0, 0) d_1, t^(1, 1) d_2 on t^0*t^0(x)e2"
     assert checked == 98
+
+
+def _axiom_reference(F, bound, D):
+    # check_action_axiom with both compositions built by F.act
+    ops = operators(F.n, bound, F.mode)
+    elems = [WittElement.monomial(F.n, F.mode, a, j) for a, j in ops]
+    cells = F.window_basis(D)
+    checked = 0
+    for ai, (xa, xj) in enumerate(ops):
+        for bi in range(ai + 1, len(ops)):
+            ya, yj = ops[bi]
+            br = witt_bracket(elems[ai], elems[bi]).monomials()
+            for cell in cells:
+                lhs = {}
+                for alpha, j, c in br:
+                    vec_axpy(lhs, F.act_cell(alpha, j, cell).items(), c)
+                vec_axpy(lhs, F.act(ya, yj, F.act_cell(xa, xj, cell)).items())
+                checked += 1
+                if lhs != F.act(xa, xj, F.act_cell(ya, yj, cell)):
+                    return (False, checked,
+                            "pair t^%s d_%d, t^%s d_%d on %s"
+                            % (xa, xj, ya, yj, F.label(cell)))
+    return (True, checked, "")
+
+
+@pytest.mark.parametrize("p_expr, M, A, D", [
+    ("Apoly", sym_power(2, 2), 2, 2),
+    ("Alaurent", natural_module(2), 2, 1),
+    ("Quot", sym_power(2, 2), 2, 2),
+    ("TL(l1,l2)", natural_module(2), 1, 2),
+    ("Whittaker(l1,l2)", sym_power(2, 2), 1, 1),
+])
+def test_action_axiom_matches_the_act_reference(p_expr, M, A, D):
+    got = check_action_axiom(FPModule(parse_p(p_expr, 2), M), A, D)
+    assert got[0], got
+    assert got == _axiom_reference(FPModule(parse_p(p_expr, 2), M), A, D)
+
+
+def test_action_axiom_fails_on_a_wrong_outer_action(monkeypatch):
+    # d_1 is the first operator, so it is x in every pair it is in and its
+    # images of window cells enter only the bracket terms and y(xv); off the
+    # window it is halved, which only x(yv) meets (y raising the level).
+    # d_1 has no matrix part, so its image is the P part alone.
+    act_cell = FPModule.act_cell
+    D = 2
+
+    def broken(self, alpha, j, cell):
+        if (tuple(alpha), j) == ((0, 0), 1) and self.level(cell) > D:
+            return _tensor({}, self.P, cell[0], [((0, 0), 1, {cell[1]: S(1, 2)})])
+        return act_cell(self, alpha, j, cell)
+
+    monkeypatch.setattr(FPModule, "act_cell", broken)
+    got = check_action_axiom(FPModule(apoly(2), natural_module(2)), 2, D)
+    assert not got[0]
+    assert got[2].startswith("pair t^(0, 0) d_1, ")
+    assert got == _axiom_reference(FPModule(apoly(2), natural_module(2)), 2, D)
 
 
 @pytest.mark.parametrize("n, A", [(2, 1), (2, 2), (2, 3), (3, 1)])
