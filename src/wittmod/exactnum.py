@@ -29,10 +29,16 @@ sums are memoized on the operand pair, in `_MUL` and `_ADD`.  The two share
 one cap, `_MUL_CAP`: each table is emptied when it reaches that many
 entries, so together they hold at most twice the cap.  A product or sum
 computed again is the same interned object.
+
+Beside the exact field sits one fixed point mod the prime p = 2^31 - 1:
+`at_point` evaluates a Scalar there, and `EchelonModP` eliminates int
+vectors over Z/p.  They serve certificates whose conclusion survives
+specialisation, such as a rank that is full at the point.
 """
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from math import gcd as _igcd
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -659,7 +665,7 @@ def vec_axpy(out: Vec, terms: Iterable[Tuple[object, Scalar]],
     Scalars, or PolyElements with a=None.  This is the one sparse
     accumulation loop of the package.
     """
-    if a is not None and a.is_one():
+    if a is _S_ONE:
         a = None
     for c, x in terms:
         if a is not None:
@@ -749,6 +755,90 @@ class Echelon:
 
     def same_span(self, other: "Echelon") -> bool:
         return self.rows == other.rows
+
+
+# ---------------------------------------------------------------------------
+# the fixed point mod p
+# ---------------------------------------------------------------------------
+
+MOD_P = (1 << 31) - 1
+
+# parameter name -> its value at the point; Scalar -> its value there
+_POINT: Dict[str, int] = {}
+_AT_POINT: Dict[Scalar, int] = {}
+
+
+def point_value(name: str) -> int:
+    """The value of the parameter `name` at the fixed point, drawn from
+    random.Random("wittmod:" + name) in [2, p - 2].  A str seed goes through
+    SHA-512, not hash(), so the point does not depend on PYTHONHASHSEED."""
+    v = _POINT.get(name)
+    if v is None:
+        v = _POINT[name] = random.Random("wittmod:" + name).randint(
+            2, MOD_P - 2)
+    return v
+
+
+def _peval(f: Poly) -> int:
+    s = 0
+    for m, c in f.items():
+        for name, e in m:
+            # e < 0 inverts: every parameter value is a unit mod p
+            c *= pow(point_value(name), e, MOD_P)
+        s += c
+    return s % MOD_P
+
+
+def at_point(x: Scalar) -> int:
+    """x at the fixed point, in [0, p); ZeroDivisionError when the
+    denominator of x vanishes there."""
+    v = _AT_POINT.get(x)
+    if v is None:
+        den = _peval(x.den)
+        if not den:
+            raise ZeroDivisionError("denominator of %s vanishes at the point"
+                                    % x)
+        v = _AT_POINT[x] = _peval(x.num) * pow(den, -1, MOD_P) % MOD_P
+    return v
+
+
+def _reduce_mod_p(vec: Vec, rows: Dict[object, Vec]) -> Vec:
+    """The residual mod p of the int vector vec against monic, mutually
+    reduced rows mod p: each lead entry of vec cleared once, with the
+    coefficient vec had there, as in `Echelon.reduce`."""
+    p = MOD_P
+    v = {c: x % p for c, x in vec.items() if x % p}
+    for lead in [c for c in v if c in rows]:
+        x = v.pop(lead)
+        for c, y in rows[lead].items():
+            if c != lead:
+                v[c] = v.get(c, 0) - x * y
+    return {c: x % p for c, x in v.items() if x % p}
+
+
+class EchelonModP(Echelon):
+    """`Echelon` over Z/p, p = MOD_P, on vectors of ints: entries are taken
+    mod p, and rows hold entries in [1, p).  Only the arithmetic of `reduce`
+    and `add` is its own; the row invariants, and so `dim`, `contains`,
+    `basis` and `same_span`, are those of `Echelon`."""
+
+    def reduce(self, vec: Vec) -> Vec:
+        return _reduce_mod_p(vec, self.rows)
+
+    def add(self, vec: Vec) -> bool:
+        r = self.reduce(vec)
+        if not r:
+            return False
+        lead = min(r)
+        inv = pow(r[lead], -1, MOD_P)
+        row = {c: x * inv % MOD_P for c, x in r.items()}
+        # keep earlier rows reduced against the new one
+        new = {lead: row}
+        for lc, old in list(self.rows.items()):
+            if lead in old:
+                self.rows[lc] = _reduce_mod_p(old, new)
+        self.rows[lead] = row
+        return True
 
 
 def coordinate_block_intersection(vectors: Iterable[Vec],

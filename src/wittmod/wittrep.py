@@ -23,8 +23,9 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from wittmod.exactnum import (
-    Echelon, ExactMatrix, ONE, Scalar, coordinate_block_intersection,
-    kernel_basis, vec_axpy, vec_clean, vec_scale, vec_sub,
+    MOD_P, Echelon, EchelonModP, ExactMatrix, ONE, Scalar, at_point,
+    coordinate_block_intersection, kernel_basis, vec_axpy, vec_clean,
+    vec_scale, vec_sub,
 )
 from wittmod.glmod import (
     GlModule, exterior_degree, exterior_power, highest_weight, wedge_basis,
@@ -282,7 +283,8 @@ class WindowedSubspace:
 
 def submodule_closure(F: FPModule, seeds: Sequence[FPMVector],
                       D: int, A: int,
-                      generators: Sequence[FPMVector] = ()) -> WindowedSubspace:
+                      generators: Sequence[FPMVector] = (),
+                      ech: Optional[Echelon] = None) -> WindowedSubspace:
     """Smallest window-D subspace containing the seeds and closed under
     v -> truncate_D(t^alpha d_j v) for all |alpha| <= A.
 
@@ -296,11 +298,16 @@ def submodule_closure(F: FPModule, seeds: Sequence[FPMVector],
     g, the full window: the loop stops there and returns the identity
     echelon on the window, the unique reduced form a run to completion
     reaches.  A closure that never reaches a generator is unaffected.
+
+    The loop starts from `ech`, an empty `Echelon()` by default.  Given an
+    `EchelonModP` and, for F, the view `_AtPoint(F, D)`, the same loop
+    closes int vectors over Z/p at the fixed point.
     """
     window = F.window_basis(D)
     full = len(window)
     ops = operators(F.n, A, F.mode)
-    ech = Echelon()
+    if ech is None:
+        ech = Echelon()
     work: List[FPMVector] = []
     for s in seeds:
         if any(F.level(c) > D for c in s):
@@ -324,8 +331,56 @@ def submodule_closure(F: FPModule, seeds: Sequence[FPMVector],
                 if done:
                     break
     if done:
-        ech.rows = {c: {c: ONE} for c in window}
+        # rows are monic, so a row's lead entry is the one of their field
+        one = next((row[c] for c, row in ech.rows.items()), ONE)
+        ech.rows = {c: {c: one} for c in window}
     return WindowedSubspace(F, D, ech)
+
+
+class _AtPoint:
+    """The level <= D window of F with its action at the fixed point of
+    `exactnum.at_point`, the F of `submodule_closure` on its Z/p route.
+
+    Vectors are {cell: int}.  Each operator keeps one column table, cell ->
+    image, built lazily from `F.act_cell`: the exact image truncated to the
+    window, each coefficient evaluated at the point (ZeroDivisionError when
+    its denominator vanishes there).  So images lie in the window already,
+    and `truncate` returns them as they are.
+    """
+
+    def __init__(self, F: FPModule, D: int):
+        self.F, self.D = F, D
+        self.n, self.mode = F.n, F.mode
+        self.window_basis, self.level = F.window_basis, F.level
+        self._window = set(F.window_basis(D))
+        self._columns: Dict[Tuple[MultiIndex, int], Dict[Cell, List]] = {}
+
+    def truncate(self, vec: Dict[Cell, int], D: int) -> Dict[Cell, int]:
+        return vec
+
+    def act(self, alpha: MultiIndex, j: int,
+            vec: Dict[Cell, int]) -> Dict[Cell, int]:
+        table = self._columns.get((alpha, j))
+        if table is None:
+            table = self._columns[(alpha, j)] = {}
+        out: Dict[Cell, int] = {}
+        for cell, c in vec.items():
+            img = table.get(cell)
+            if img is None:
+                img = table[cell] = self._column(alpha, j, cell)
+            for d, x in img:
+                out[d] = out.get(d, 0) + c * x
+        return {d: x % MOD_P for d, x in out.items() if x % MOD_P}
+
+    def _column(self, alpha: MultiIndex, j: int,
+                cell: Cell) -> List[Tuple[Cell, int]]:
+        out = []
+        for d, x in self.F.act_cell(alpha, j, cell).items():
+            if d in self._window:
+                v = at_point(x)
+                if v:
+                    out.append((d, v))
+        return out
 
 
 def l_window(P: WeylModule, r: int, D: int) -> WindowedSubspace:
@@ -543,8 +598,62 @@ def saturation_seeds(F: FPModule) -> List[FPMVector]:
     return [{cell: ONE} for cell in F.window_basis(1)]
 
 
+def _saturates_at_point(F: FPModule, seeds: Sequence[FPMVector],
+                        D: int, A: int) -> bool:
+    """True when every seed's closure fills the level <= D window over Z/p
+    at the fixed point of `exactnum.at_point` (p = 2^31 - 1), which
+    certifies that it fills the window over Q(l1, ...); False leaves the
+    verdict to the exact route.
+
+    Why this is sound.  First, every factor parameter lam of P (a TL or
+    Whittaker parameter, rational or not) must be nonzero at the point, and
+    every entry of M's columns must have a denominator that is a unit there.
+    P's coefficients are Laurent polynomials in the lam with integer
+    coefficients (lam^(+-1) times binomials for Whittaker, lam + k for TL,
+    integers otherwise), and `act_cell` multiplies them by M's entries and
+    by integers.  So every coefficient of the truncated window action lies
+    in the local ring R of Z[l1, ...] at the point, and the lazy tables of
+    `_AtPoint` are the reduction of one total operator on the window per
+    t^alpha d_j, in whatever order they are filled.  The closure of a seed
+    at the point is then spanned by the reductions of the exact images
+    w(seed), w a word in the truncated operators.  If it has the window's
+    dimension N, some N of those images have a determinant that is a unit
+    of R, hence nonzero: they are independent over Q(l1, ...), and the exact
+    closure is the window too (rank can only drop under specialisation).
+    The certified-seed shortcut (`generators`) stays valid at the point for
+    the same reason as over Q: a closed span at the point that contains a
+    seed whose closure there is the window is the window.  Every
+    coefficient the route evaluates is guarded as well: a denominator that
+    vanishes at the point means the exact route.
+    """
+    try:
+        # factors without a parameter count as lam = 1
+        if not all(at_point(getattr(f, "lam", ONE)) for f in F.P.factors):
+            return False
+        for cols in F.M.action.values():
+            for col in cols:
+                for x in col.values():
+                    at_point(x)
+        view = _AtPoint(F, D)
+        full = len(F.window_basis(D))
+        certified: List[Dict[Cell, int]] = []
+        for seed in seeds:
+            s = {c: at_point(x) for c, x in seed.items()}
+            if submodule_closure(view, [s], D, A, certified,
+                                 EchelonModP()).dim < full:
+                return False
+            certified.append(s)
+    except ZeroDivisionError:
+        return False
+    return True
+
+
 def _saturation_report(F: FPModule, D: int, A: int,
                        details: List[str]) -> IrreducibilityReport:
+    """Certified when every level-<=1 seed generates the window: first at a
+    point mod p (`_saturates_at_point`), else over Q(l1, ...), whose verdict
+    and details stand.  A window that fills at the point fills exactly, so
+    both routes give the same report."""
     full = len(F.window_basis(D))
     seeds = saturation_seeds(F)
     if not seeds:
@@ -552,18 +661,20 @@ def _saturation_report(F: FPModule, D: int, A: int,
                        " seed to close")
         return IrreducibilityReport("not certified", False, "saturation",
                                     details)
-    # a seed whose closure reaches a certified seed generates the window too
-    certified: List[FPMVector] = []
-    for seed in seeds:
-        sub = submodule_closure(F, [seed], D, A, generators=certified)
-        if sub.dim < full:
-            cell = next(iter(seed))
-            details.append(
-                "seed %s generated only %d of %d window dimensions"
-                % (F.label(cell), sub.dim, full))
-            return IrreducibilityReport("not certified", False,
-                                        "saturation", details)
-        certified.append(seed)
+    if not _saturates_at_point(F, seeds, D, A):
+        # a seed whose closure reaches a certified seed generates the
+        # window too
+        certified: List[FPMVector] = []
+        for seed in seeds:
+            sub = submodule_closure(F, [seed], D, A, generators=certified)
+            if sub.dim < full:
+                cell = next(iter(seed))
+                details.append(
+                    "seed %s generated only %d of %d window dimensions"
+                    % (F.label(cell), sub.dim, full))
+                return IrreducibilityReport("not certified", False,
+                                            "saturation", details)
+            certified.append(seed)
     details.append("all %d level-<=1 seeds generate the full %d-dimensional"
                    " window" % (len(seeds), full))
     return IrreducibilityReport(

@@ -7,8 +7,8 @@ import pytest
 
 from wittmod import exactnum
 from wittmod.exactnum import (
-    ONE, ExactMatrix, Scalar, Echelon, _pgcd, coordinate_block_intersection,
-    kernel_basis, rank, vec_axpy,
+    MOD_P, ONE, ExactMatrix, Scalar, Echelon, EchelonModP, _pgcd, at_point,
+    coordinate_block_intersection, kernel_basis, point_value, rank, vec_axpy,
 )
 
 
@@ -476,3 +476,33 @@ def test_copies_and_pickles_keep_the_one_object():
     for x in (ONE, S(-4), Scalar.rational(3, 7), (L1 + S(2)) / (L2 - S(1))):
         assert copy.copy(x) is x and copy.deepcopy(x) is x
         assert pickle.loads(pickle.dumps(x)) is x
+
+
+def test_at_point_evaluates_canonical_forms():
+    p, a, b = MOD_P, point_value("l1"), point_value("l2")
+    # a true polynomial denominator, a Laurent polynomial, a rational
+    x = (L1 * L1 + S(3)) / (L1 * L2 - S(1))
+    assert at_point(x) == (a * a + 3) * pow(a * b - 1, -1, p) % p
+    assert at_point(L2 / L1) == b * pow(a, -1, p) % p
+    assert at_point(Scalar.rational(-5, 7)) == -5 * pow(7, -1, p) % p
+    assert at_point(L1 - S(a)) == 0
+    with pytest.raises(ZeroDivisionError):
+        at_point(ONE / (L1 - S(a)))
+
+
+def test_echelon_mod_p_is_the_exact_echelon_reduced():
+    # entries in [-3, 3] and at most 6 columns keep every minor below p in
+    # size, so the rank and the reduced rows survive reduction mod p
+    rng = random.Random(31)
+    for _ in range(40):
+        nr, nc = rng.randint(1, 6), rng.randint(1, 6)
+        vecs = [{c: rng.randint(-3, 3) for c in range(nc)}
+                for _ in range(nr)]
+        exact = Echelon([{c: S(x) for c, x in v.items() if x} for v in vecs])
+        modp = EchelonModP(vecs)
+        assert modp.rows == {lead: {c: at_point(x) for c, x in row.items()}
+                             for lead, row in exact.rows.items()}
+        assert all(modp.contains(v) for v in vecs)
+        assert modp.basis() == [modp.rows[c] for c in sorted(modp.rows)]
+    assert EchelonModP().contains({0: MOD_P, 1: -2 * MOD_P})
+    assert not EchelonModP([{0: 1}]).contains({1: MOD_P + 1})

@@ -1,6 +1,7 @@
-"""Reports pinned byte for byte: every README command-line example and every
-CLI job of the three benchmark workloads (seed 1) must give the recorded
-`Report.as_dict()`, less `elapsedMs`, and the recorded exit code.
+"""Reports pinned byte for byte: every README command-line example, every
+CLI job of the three benchmark workloads (seed 1) and two deeper saturation
+windows must give the recorded `Report.as_dict()`, less `elapsedMs`, and the
+recorded exit code.
 
 A performance change must not move any output, so this file holds the
 reports of the code before such changes.  `PYTHONHASHSEED` must not matter
@@ -63,7 +64,14 @@ WORKLOAD_JOBS = [
     "complex --P Alaurent --window 4",
 ]
 
-ARGVS = README_EXAMPLES + WORKLOAD_JOBS
+# deeper saturation windows than the benchmark's, where the closure's
+# arithmetic dominates
+DEEP_SATURATION = [
+    "irreducible --P Whittaker(l1,l2) --M Sym(2) --window 4",
+    "irreducible --n 3 --P Whittaker(l1,l2,l3) --M Sym(2) --window 3",
+]
+
+ARGVS = README_EXAMPLES + WORKLOAD_JOBS + DEEP_SATURATION
 
 
 def _golden(argv: str) -> dict:

@@ -2,22 +2,27 @@
 
 import itertools
 import math
+import os
 import random
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from wittmod import wittrep
-from wittmod.cli import main, parse_p
+from wittmod.cli import main, parse_m, parse_p
 from wittmod.exactnum import (
-    Echelon, ExactMatrix, ONE, Scalar, kernel_basis, vec_axpy, vec_sub,
-    vec_clean,
+    MOD_P, Echelon, EchelonModP, ExactMatrix, ONE, Scalar, at_point,
+    kernel_basis, point_value, vec_axpy, vec_sub, vec_clean,
 )
 from wittmod.glmod import (
     exterior_power, natural_module, scalar_module, sym_power, tensor_module,
     wedge_sort,
 )
 from wittmod.liealg import WittElement, witt_bracket
+from wittmod.polyalg import PLUS
 from wittmod.weylmod import alaurent, apoly, laurent_quot, twisted_laurent, whittaker
 from wittmod.wittrep import (
     FPModule, _saturation_report, _tensor, check_action_axiom,
@@ -846,6 +851,135 @@ def test_saturation_without_seeds_is_not_certified():
                            " no seed to close"]
     assert main(["irreducible", "--P", "Quot", "--M", "Sym(2)",
                  "--window", "2", "--gen-bound", "3"]) == 1
+
+
+def _saturation_reference(F, D, A, details):
+    # the exact loop of _saturation_report before the route at a point
+    full = len(F.window_basis(D))
+    seeds = saturation_seeds(F)
+    if not seeds:
+        details.append("no window cell lies at level <= 1, so there is no"
+                       " seed to close")
+        return wittrep.IrreducibilityReport("not certified", False,
+                                            "saturation", details)
+    certified = []
+    for seed in seeds:
+        sub = submodule_closure(F, [seed], D, A, generators=certified)
+        if sub.dim < full:
+            cell = next(iter(seed))
+            details.append(
+                "seed %s generated only %d of %d window dimensions"
+                % (F.label(cell), sub.dim, full))
+            return wittrep.IrreducibilityReport("not certified", False,
+                                                "saturation", details)
+        certified.append(seed)
+    details.append("all %d level-<=1 seeds generate the full %d-dimensional"
+                   " window" % (len(seeds), full))
+    return wittrep.IrreducibilityReport(
+        "consistent with irreducible: certified saturation at (D=%d, A=%d)"
+        % (D, A), True, "saturation", details)
+
+
+def _report_tuple(rep):
+    return rep.verdict, rep.certified, rep.branch, rep.details
+
+
+_SATURATION_CASES = [
+    # criterion 8's grid
+    *[(P, M, 4, 5) for P in ("Apoly", "Whittaker(l1,l2)", "TL(l1,l2)")
+      for M in ("Sym(2)", "Triv(l1)")],
+    # the saturation workload's instances, twists fixed
+    ("Whittaker(l1,l2)", "Sym(2)", 2, 3),
+    ("Whittaker(l1,l2)", "Triv(l1)", 3, 3),
+    ("TL(l1,l2)", "Sym(2)", 3, 3),
+    ("TL(l1,l2)", "Triv(l1)", 3, 3),
+    ("Tensor(Apoly,Whittaker(l2))", "Sym(2)", 3, 3),
+    ("Whittaker(-2,-3)", "Sym(2)", 2, 3),
+    ("TL(-4/3,5/3)", "Sym(2)", 3, 3),
+    # windows that do not fill, and no seed at all
+    ("Alaurent+", "Sym(2)", 2, 2),
+    ("Apoly", "Ext(1)", 2, 3),
+    ("Quot", "Sym(2)", 2, 3),
+]
+
+
+def _module(p_expr, m_expr):
+    # a trailing "+" restricts a two-sided P to the plus mode
+    P = parse_p(p_expr.rstrip("+"), 2)
+    if p_expr.endswith("+"):
+        P.mode = PLUS
+    return FPModule(P, parse_m(m_expr, 2))
+
+
+@pytest.mark.parametrize("p_expr, m_expr, D, A", _SATURATION_CASES)
+def test_saturation_route_matches_exact_loop(p_expr, m_expr, D, A):
+    rep = _saturation_report(_module(p_expr, m_expr), D, A, [])
+    ref = _saturation_reference(_module(p_expr, m_expr), D, A, [])
+    assert _report_tuple(rep) == _report_tuple(ref)
+
+
+def _route_spy(monkeypatch):
+    """Record, per submodule_closure call, whether it ran at the point."""
+    routes = []
+    closure = wittrep.submodule_closure
+
+    def spy(F, seeds, D, A, generators=(), ech=None):
+        routes.append("point" if isinstance(ech, EchelonModP) else "exact")
+        return closure(F, seeds, D, A, generators, ech)
+
+    monkeypatch.setattr(wittrep, "submodule_closure", spy)
+    return routes
+
+
+def test_saturation_route_falls_back_when_a_parameter_vanishes(monkeypatch):
+    # lam_1 = l1 - (the point's l1) is 0 at the point, and Whittaker's d
+    # divides by lam_1: the exact route decides, with the same report
+    lam = L1 - Scalar.integer(point_value("l1"))
+    F = FPModule(whittaker([lam, L2]), sym_power(2, 2))
+    ref = _saturation_reference(FPModule(F.P, F.M), 2, 3, [])
+    routes = _route_spy(monkeypatch)
+    rep = _saturation_report(F, 2, 3, [])
+    assert _report_tuple(rep) == _report_tuple(ref) and rep.certified
+    assert routes and set(routes) == {"exact"}
+
+
+def test_saturation_route_falls_back_when_the_point_does_not_fill(
+        monkeypatch):
+    # drop the coefficient 1 from the tables at the point: t then acts as 0
+    # on Apoly there, a seed does not fill the window, and the exact route
+    # closes every seed and certifies
+    F = FPModule(apoly(2), scalar_module(2, L1))
+    ref = _saturation_reference(FPModule(F.P, F.M), 2, 3, [])
+    column = wittrep._AtPoint._column
+
+    def zeroed(view, alpha, j, cell):
+        img = view.F.act_cell(alpha, j, cell)
+        return [(d, v) for d, v in column(view, alpha, j, cell)
+                if img[d] is not ONE]
+
+    monkeypatch.setattr(wittrep._AtPoint, "_column", zeroed)
+    routes = _route_spy(monkeypatch)
+    rep = _saturation_report(F, 2, 3, [])
+    assert _report_tuple(rep) == _report_tuple(ref) and rep.certified
+    at, seeds = routes.count("point"), len(saturation_seeds(F))
+    assert at and routes == ["point"] * at + ["exact"] * seeds
+
+
+def test_saturation_route_point_ignores_hash_seed():
+    code = ("from wittmod.exactnum import Scalar, at_point, point_value;"
+            "print(point_value('l1'), point_value('l2'),"
+            " at_point(Scalar.param('l1').inv() + Scalar.rational(1, 3)))")
+    src = str(Path(wittrep.__file__).resolve().parent.parent)
+    outs = set()
+    for seed in ("1", "7"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        outs.add(subprocess.run([sys.executable, "-c", code], env=env,
+                                check=True, capture_output=True,
+                                text=True).stdout)
+    here = "%d %d %d\n" % (point_value("l1"), point_value("l2"),
+                           at_point(L1.inv() + S(1, 3)))
+    assert outs == {here}
+    assert all(2 <= point_value(n) <= MOD_P - 2 for n in ("l1", "l2"))
 
 
 # ---------------------------------------------------------------------------
