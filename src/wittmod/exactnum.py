@@ -739,6 +739,11 @@ class Echelon:
         r = self.reduce(vec)
         if not r:
             return False
+        self._insert(r)
+        return True
+
+    def _insert(self, r: Vec) -> None:
+        """Make the nonzero residual r a monic row."""
         lead = min(r)
         row = vec_scale(r, r[lead].inv())
         # keep earlier rows reduced against the new one
@@ -748,7 +753,6 @@ class Echelon:
                 _clear(new, lead, row)
                 self.rows[lc] = new
         self.rows[lead] = row
-        return True
 
     def basis(self) -> List[Vec]:
         return [self.rows[c] for c in sorted(self.rows)]
@@ -763,9 +767,8 @@ class Echelon:
 
 MOD_P = (1 << 31) - 1
 
-# parameter name -> its value at the point; Scalar -> its value there
+# parameter name -> its value at the point
 _POINT: Dict[str, int] = {}
-_AT_POINT: Dict[Scalar, int] = {}
 
 
 def point_value(name: str) -> int:
@@ -792,14 +795,10 @@ def _peval(f: Poly) -> int:
 def at_point(x: Scalar) -> int:
     """x at the fixed point, in [0, p); ZeroDivisionError when the
     denominator of x vanishes there."""
-    v = _AT_POINT.get(x)
-    if v is None:
-        den = _peval(x.den)
-        if not den:
-            raise ZeroDivisionError("denominator of %s vanishes at the point"
-                                    % x)
-        v = _AT_POINT[x] = _peval(x.num) * pow(den, -1, MOD_P) % MOD_P
-    return v
+    den = _peval(x.den)
+    if not den:
+        raise ZeroDivisionError("denominator of %s vanishes at the point" % x)
+    return _peval(x.num) * pow(den, -1, MOD_P) % MOD_P
 
 
 def _reduce_mod_p(vec: Vec, rows: Dict[object, Vec]) -> Vec:
@@ -819,16 +818,13 @@ def _reduce_mod_p(vec: Vec, rows: Dict[object, Vec]) -> Vec:
 class EchelonModP(Echelon):
     """`Echelon` over Z/p, p = MOD_P, on vectors of ints: entries are taken
     mod p, and rows hold entries in [1, p).  Only the arithmetic of `reduce`
-    and `add` is its own; the row invariants, and so `dim`, `contains`,
-    `basis` and `same_span`, are those of `Echelon`."""
+    and `_insert` is its own; the row invariants, and so `add`, `dim`,
+    `contains`, `basis` and `same_span`, are those of `Echelon`."""
 
     def reduce(self, vec: Vec) -> Vec:
         return _reduce_mod_p(vec, self.rows)
 
-    def add(self, vec: Vec) -> bool:
-        r = self.reduce(vec)
-        if not r:
-            return False
+    def _insert(self, r: Vec) -> None:
         lead = min(r)
         inv = pow(r[lead], -1, MOD_P)
         row = {c: x * inv % MOD_P for c, x in r.items()}
@@ -838,7 +834,6 @@ class EchelonModP(Echelon):
             if lead in old:
                 self.rows[lc] = _reduce_mod_p(old, new)
         self.rows[lead] = row
-        return True
 
 
 def coordinate_block_intersection(vectors: Iterable[Vec],

@@ -331,9 +331,7 @@ def submodule_closure(F: FPModule, seeds: Sequence[FPMVector],
                 if done:
                     break
     if done:
-        # rows are monic, so a row's lead entry is the one of their field
-        one = next((row[c] for c, row in ech.rows.items()), ONE)
-        ech.rows = {c: {c: one} for c in window}
+        ech.rows = {c: {c: ONE} for c in window}
     return WindowedSubspace(F, D, ech)
 
 
@@ -344,8 +342,8 @@ class _AtPoint:
     Vectors are {cell: int}.  Each operator keeps one column table, cell ->
     image, built lazily from `F.act_cell`: the exact image truncated to the
     window, each coefficient evaluated at the point (ZeroDivisionError when
-    its denominator vanishes there).  So images lie in the window already,
-    and `truncate` returns them as they are.
+    its denominator vanishes there) once per view.  So images lie in the
+    window already, and `truncate` returns them as they are.
     """
 
     def __init__(self, F: FPModule, D: int):
@@ -354,6 +352,7 @@ class _AtPoint:
         self.window_basis, self.level = F.window_basis, F.level
         self._window = set(F.window_basis(D))
         self._columns: Dict[Tuple[MultiIndex, int], Dict[Cell, List]] = {}
+        self._values: Dict[Scalar, int] = {}
 
     def truncate(self, vec: Dict[Cell, int], D: int) -> Dict[Cell, int]:
         return vec
@@ -375,9 +374,12 @@ class _AtPoint:
     def _column(self, alpha: MultiIndex, j: int,
                 cell: Cell) -> List[Tuple[Cell, int]]:
         out = []
+        values = self._values
         for d, x in self.F.act_cell(alpha, j, cell).items():
             if d in self._window:
-                v = at_point(x)
+                v = values.get(x)
+                if v is None:
+                    v = values[x] = at_point(x)
                 if v:
                     out.append((d, v))
         return out
@@ -598,12 +600,13 @@ def saturation_seeds(F: FPModule) -> List[FPMVector]:
     return [{cell: ONE} for cell in F.window_basis(1)]
 
 
-def _saturates_at_point(F: FPModule, seeds: Sequence[FPMVector],
-                        D: int, A: int) -> bool:
-    """True when every seed's closure fills the level <= D window over Z/p
-    at the fixed point of `exactnum.at_point` (p = 2^31 - 1), which
-    certifies that it fills the window over Q(l1, ...); False leaves the
-    verdict to the exact route.
+def _seeds_filling_at_point(F: FPModule, seeds: Sequence[FPMVector],
+                            D: int, A: int) -> int:
+    """How many leading seeds close to the level <= D window over Z/p at
+    the fixed point of `exactnum.at_point` (p = 2^31 - 1), each with the
+    seeds before it as generators.  Each of them fills the window over
+    Q(l1, ...) too, so the exact route resumes after them; 0 when a guard
+    below fails.
 
     Why this is sound.  First, every factor parameter lam of P (a TL or
     Whittaker parameter, rational or not) must be nonzero at the point, and
@@ -624,12 +627,12 @@ def _saturates_at_point(F: FPModule, seeds: Sequence[FPMVector],
     the same reason as over Q: a closed span at the point that contains a
     seed whose closure there is the window is the window.  Every
     coefficient the route evaluates is guarded as well: a denominator that
-    vanishes at the point means the exact route.
+    vanishes at the point means the exact route for every seed.
     """
     try:
         # factors without a parameter count as lam = 1
         if not all(at_point(getattr(f, "lam", ONE)) for f in F.P.factors):
-            return False
+            return 0
         for cols in F.M.action.values():
             for col in cols:
                 for x in col.values():
@@ -641,19 +644,20 @@ def _saturates_at_point(F: FPModule, seeds: Sequence[FPMVector],
             s = {c: at_point(x) for c, x in seed.items()}
             if submodule_closure(view, [s], D, A, certified,
                                  EchelonModP()).dim < full:
-                return False
+                break
             certified.append(s)
     except ZeroDivisionError:
-        return False
-    return True
+        return 0
+    return len(certified)
 
 
 def _saturation_report(F: FPModule, D: int, A: int,
                        details: List[str]) -> IrreducibilityReport:
-    """Certified when every level-<=1 seed generates the window: first at a
-    point mod p (`_saturates_at_point`), else over Q(l1, ...), whose verdict
-    and details stand.  A window that fills at the point fills exactly, so
-    both routes give the same report."""
+    """Certified when every level-<=1 seed generates the window.  Seeds are
+    closed at a point mod p first (`_seeds_filling_at_point`), and the exact
+    loop closes the rest over Q(l1, ...), with the seeds certified at the
+    point as generators.  A window that fills at the point fills exactly,
+    so the report is the one the exact loop alone gives."""
     full = len(F.window_basis(D))
     seeds = saturation_seeds(F)
     if not seeds:
@@ -661,20 +665,18 @@ def _saturation_report(F: FPModule, D: int, A: int,
                        " seed to close")
         return IrreducibilityReport("not certified", False, "saturation",
                                     details)
-    if not _saturates_at_point(F, seeds, D, A):
-        # a seed whose closure reaches a certified seed generates the
-        # window too
-        certified: List[FPMVector] = []
-        for seed in seeds:
-            sub = submodule_closure(F, [seed], D, A, generators=certified)
-            if sub.dim < full:
-                cell = next(iter(seed))
-                details.append(
-                    "seed %s generated only %d of %d window dimensions"
-                    % (F.label(cell), sub.dim, full))
-                return IrreducibilityReport("not certified", False,
-                                            "saturation", details)
-            certified.append(seed)
+    # a seed whose closure reaches a certified seed generates the window too
+    certified = seeds[:_seeds_filling_at_point(F, seeds, D, A)]
+    for seed in seeds[len(certified):]:
+        sub = submodule_closure(F, [seed], D, A, generators=certified)
+        if sub.dim < full:
+            cell = next(iter(seed))
+            details.append(
+                "seed %s generated only %d of %d window dimensions"
+                % (F.label(cell), sub.dim, full))
+            return IrreducibilityReport("not certified", False,
+                                        "saturation", details)
+        certified.append(seed)
     details.append("all %d level-<=1 seeds generate the full %d-dimensional"
                    " window" % (len(seeds), full))
     return IrreducibilityReport(

@@ -506,3 +506,5 @@ def test_echelon_mod_p_is_the_exact_echelon_reduced():
         assert modp.basis() == [modp.rows[c] for c in sorted(modp.rows)]
     assert EchelonModP().contains({0: MOD_P, 1: -2 * MOD_P})
     assert not EchelonModP([{0: 1}]).contains({1: MOD_P + 1})
+    # one insertion path: only the arithmetic of reduce and _insert differs
+    assert EchelonModP.add is Echelon.add
