@@ -661,8 +661,9 @@ def vec_axpy(out: Vec, terms: Iterable[Tuple[object, Scalar]],
     `terms` is any iterable of (coordinate, value) pairs, so a caller that
     remaps coordinates passes the pairs without building a dict.  a=None
     means 1, and a = 1 costs no products.  Entries that cancel are dropped
-    and zero terms are never inserted.  Values need +, * and is_zero():
-    Scalars, or PolyElements with a=None.  This is the one sparse
+    and zero terms are never inserted.  Values need +, * and a truth value
+    that is False exactly on zero: Scalars or ints, with `a` of the same
+    type, or PolyElements with a=None.  This is the one sparse
     accumulation loop of the package.
     """
     if a is _S_ONE:
@@ -673,7 +674,7 @@ def vec_axpy(out: Vec, terms: Iterable[Tuple[object, Scalar]],
         s = out.get(c)
         if s is not None:
             x = s + x
-        if not x.is_zero():
+        if x:
             out[c] = x
         elif s is not None:
             del out[c]
@@ -681,7 +682,8 @@ def vec_axpy(out: Vec, terms: Iterable[Tuple[object, Scalar]],
 
 
 def vec_scale(u: Vec, a: Scalar) -> Vec:
-    return {} if a.is_zero() else vec_axpy({}, u.items(), a)
+    """a * u as a new vector; a is a Scalar, or an int for int vectors."""
+    return vec_axpy({}, u.items(), a) if a else {}
 
 
 def vec_sub(u: Vec, v: Vec) -> Vec:

@@ -15,7 +15,7 @@ import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from wittmod.exactnum import (
-    ExactMatrix, Echelon, ONE, Scalar, ZERO, kernel_basis, vec_axpy,
+    ExactMatrix, Echelon, ONE, Scalar, ZERO, at_point, kernel_basis, vec_axpy,
 )
 
 Weight = Tuple[Scalar, ...]
@@ -32,7 +32,7 @@ class GlModule:
 
     def __init__(self, n: int, labels: Sequence[str],
                  action: Dict[Tuple[int, int], List[Column]],
-                 name: str = ""):
+                 name: str = "", check: bool = True):
         self.n = n
         self.dim = len(labels)
         self.labels = list(labels)
@@ -46,7 +46,8 @@ class GlModule:
                 if len(cols) != self.dim or any(
                         not 0 <= r < self.dim for col in cols for r in col):
                     raise ValueError("action matrix shape mismatch")
-        self._check_commutation()
+        if check:
+            self._check_commutation()
 
     def _check_commutation(self) -> None:
         # the (k,l,i,j) relation is minus the (i,j,k,l) one, and (i,j) =
@@ -78,6 +79,18 @@ class GlModule:
     def act_column(self, i: int, j: int, idx: int) -> Column:
         """E(i,j) e_idx: the stored column, which callers must not mutate."""
         return self.action[(i, j)][idx]
+
+    def at_point(self) -> "GlModule":
+        """This module at the fixed point of `exactnum.at_point`: every
+        column entry evaluated there (an int in [0, p), zeros dropped);
+        ZeroDivisionError when an entry's denominator vanishes at the point.
+        The relations hold mod p, as reductions of the ones checked when
+        this module was built, so they are not checked again."""
+        action = {key: [{r: v for r, v in ((r, at_point(x))
+                                           for r, x in col.items()) if v}
+                        for col in cols]
+                  for key, cols in self.action.items()}
+        return GlModule(self.n, self.labels, action, self.name, check=False)
 
     def diagonal_weight(self, idx: int) -> Weight:
         """Weight of a basis vector, assuming diagonal E(i,i) actions."""

@@ -137,6 +137,9 @@ class PolyElement:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def __bool__(self) -> bool:
+        return not self.is_zero()
+
     def sorted_terms(self) -> List[Tuple[MultiIndex, Scalar]]:
         return [(e, self.terms[e]) for e in sorted(self.terms)]
 

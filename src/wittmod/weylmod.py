@@ -11,8 +11,10 @@ vectors are sparse dicts {index tuple: Scalar}; all actions are exact,
 windows only bound basis enumeration.
 
 An operator t^a d_j on one basis index is a tensor product of one short
-word per factor; `WeylModule.act_index` reads those words from a table
-memoized per instance.  The generator-by-generator methods (`act_generator`,
+word per factor; `WeylModule.act_index` (and `wittrep._tensor`) reads those
+words from a table memoized per instance, and `WeylModule.at_point` gives
+the module whose words are evaluated at the point of `exactnum.at_point`.
+The generator-by-generator methods (`act_generator`,
 `act_t_monomial`, `act_witt_monomial`, ...) step through the factors
 instead, an independent route the tests compare against.
 
@@ -30,7 +32,7 @@ import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from wittmod.exactnum import (
-    ONE, Scalar, coordinate_block_intersection, vec_axpy,
+    ONE, Scalar, at_point, coordinate_block_intersection, vec_axpy,
 )
 from wittmod.liealg import WeylElement, WittElement
 from wittmod.polyalg import LAURENT, PLUS, MultiIndex, exponents_within
@@ -335,6 +337,10 @@ class WeylModule:
                      for head, c in terms for k2, c2 in word]
         return dict(terms)
 
+    def at_point(self) -> "WeylModuleAtPoint":
+        """This module at the fixed point of `exactnum.at_point`."""
+        return WeylModuleAtPoint(self)
+
     # -- truncation bookkeeping
 
     def op_raise_bound(self, alpha: MultiIndex, j: int) -> int:
@@ -362,6 +368,27 @@ class WeylModule:
 
     def __repr__(self) -> str:
         return "WeylModule(%s, n=%d, mode=%s)" % (self.kind, self.n, self.mode)
+
+
+class WeylModuleAtPoint(WeylModule):
+    """A WeylModule P at the fixed point of `exactnum.at_point`: P's factors
+    and mode, with each per-factor word P's exact word, every coefficient
+    evaluated at the point (an int in [0, p), zeros dropped), when first
+    used.  So `act_index` returns int vectors, the reductions of P's; the
+    generator-by-generator methods still step the factors exactly."""
+
+    def __init__(self, P: WeylModule):
+        super().__init__(P.factors, P.kind)
+        self.mode = P.mode
+        self.exact = P
+
+    def _word(self, key: Tuple[int, int, bool, int]) -> List:
+        word = self.exact._words.get(key)
+        if word is None:
+            word = self.exact._word(key)
+        values = ((k, at_point(c)) for k, c in word)
+        word = self._words[key] = [(k, v) for k, v in values if v]
+        return word
 
 
 # ---------------------------------------------------------------------------

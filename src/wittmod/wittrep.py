@@ -83,13 +83,47 @@ def _wedge_parts(n: int, k: int) -> List[List[Part]]:
 def _tensor(out: FPMVector, P: WeylModule, pidx: Tuple,
             parts: Sequence[Part], c: Scalar = ONE) -> FPMVector:
     """out += c * sum over (a, j, w) in parts of (t^a d_j p) (x) w, p the P
-    basis vector pidx; a w entry of 1 (always the object ONE) costs no product.
-    Every map on P (x) M (Witt action, pi_k, torsion closed form) is one."""
+    basis vector pidx.  Every map on P (x) M (Witt action, pi_k, torsion
+    closed form) is one.
+
+    One loop for Scalar coefficients and, on P and M at the point, int ones:
+    the image of p is the tensor product of P's memoized per-factor words,
+    as in `WeylModule.act_index` (with its plus-mode guard), and each of its
+    terms times each w entry goes into out at once.  A word or w entry of 1
+    (always the object ONE) costs no product."""
+    words = P._words
+    plus = P.mode == PLUS
+    if c is ONE:
+        c = None
     for a, j, w in parts:
-        if w:
-            img = P.act_index(pidx, a, j)
-            vec_axpy(out, [((q, m), cp if cm is ONE else cp * cm)
-                           for q, cp in img.items() for m, cm in w.items()], c)
+        if not w:
+            continue
+        if plus and min(a) < 0:
+            raise ValueError("negative exponent %r in plus mode" % (a,))
+        terms = [((), ONE)]
+        for pos, (a_pos, k) in enumerate(zip(a, pidx)):
+            key = (pos, a_pos, pos + 1 == j, k)
+            word = words.get(key)
+            if word is None:
+                word = P._word(key)
+            terms = [(head + (k2,),
+                      c2 if c1 is ONE else c1 if c2 is ONE else c1 * c2)
+                     for head, c1 in terms for k2, c2 in word]
+            if not terms:
+                break
+        for q, cp in terms:
+            for m, cm in w.items():
+                x = cp if cm is ONE else cp * cm
+                if c is not None:
+                    x = c * x
+                cell = (q, m)
+                s = out.get(cell)
+                if s is not None:
+                    x = s + x
+                if x:
+                    out[cell] = x
+                elif s is not None:
+                    del out[cell]
     return out
 
 
@@ -115,6 +149,9 @@ class FPModule:
         self.name = "F(%s, %s)" % (P.kind, M.name)
         self._columns: Dict[Tuple[MultiIndex, int],
                             Dict[Cell, FPMVector]] = {}
+
+    # the coefficient of an integer, such as act_cell's multiplicities a_i
+    integer = staticmethod(Scalar.integer)
 
     def window_basis(self, D: int) -> List[Cell]:
         return [(pidx, m)
@@ -149,7 +186,7 @@ class FPModule:
             col = self.M.act_column(i, j, midx) if a_i else None
             if col:
                 parts.append((alpha[:i - 1] + (a_i - 1,) + alpha[i:], None,
-                              vec_scale(col, Scalar.integer(a_i))))
+                              vec_scale(col, self.integer(a_i))))
         out = table[cell] = _tensor({}, self.P, pidx, parts)
         return out
 
@@ -335,15 +372,28 @@ def submodule_closure(F: FPModule, seeds: Sequence[FPMVector],
     return WindowedSubspace(F, D, ech)
 
 
+class _PointModule(FPModule):
+    """F = P (x) M at the fixed point of `exactnum.at_point`: the FPModule
+    over `P.at_point()` and `M.at_point()`, whose inherited `act_cell` and
+    `_tensor` build int images, congruent mod p to the evaluations of F's
+    exact ones.  M's columns are evaluated here, once (ZeroDivisionError
+    when a denominator vanishes at the point); P's words when first used."""
+
+    integer = int
+
+    def __init__(self, F: FPModule):
+        super().__init__(F.P.at_point(), F.M.at_point())
+
+
 class _AtPoint:
     """The level <= D window of F with its action at the fixed point of
     `exactnum.at_point`, the F of `submodule_closure` on its Z/p route.
 
-    Vectors are {cell: int}.  Each operator keeps one column table, cell ->
-    image, built lazily from `F.act_cell`: the exact image truncated to the
-    window, each coefficient evaluated at the point (ZeroDivisionError when
-    its denominator vanishes there) once per view.  So images lie in the
-    window already, and `truncate` returns them as they are.
+    Vectors are {cell: int}.  P and M are specialised once per view, in a
+    `_PointModule`.  Each operator keeps one column table, cell -> image,
+    built lazily from that module's `act_cell` with ints, truncated to the
+    window and reduced mod p.  So images lie in the window already,
+    `truncate` returns them as they are, and F itself builds no image.
     """
 
     def __init__(self, F: FPModule, D: int):
@@ -351,8 +401,8 @@ class _AtPoint:
         self.n, self.mode = F.n, F.mode
         self.window_basis, self.level = F.window_basis, F.level
         self._window = set(F.window_basis(D))
+        self._point = _PointModule(F)
         self._columns: Dict[Tuple[MultiIndex, int], Dict[Cell, List]] = {}
-        self._values: Dict[Scalar, int] = {}
 
     def truncate(self, vec: Dict[Cell, int], D: int) -> Dict[Cell, int]:
         return vec
@@ -373,15 +423,13 @@ class _AtPoint:
 
     def _column(self, alpha: MultiIndex, j: int,
                 cell: Cell) -> List[Tuple[Cell, int]]:
+        window = self._window
         out = []
-        values = self._values
-        for d, x in self.F.act_cell(alpha, j, cell).items():
-            if d in self._window:
-                v = values.get(x)
-                if v is None:
-                    v = values[x] = at_point(x)
-                if v:
-                    out.append((d, v))
+        for d, x in self._point.act_cell(alpha, j, cell).items():
+            if d in window:
+                x %= MOD_P
+                if x:
+                    out.append((d, x))
         return out
 
 
@@ -610,33 +658,35 @@ def _seeds_filling_at_point(F: FPModule, seeds: Sequence[FPMVector],
 
     Why this is sound.  First, every factor parameter lam of P (a TL or
     Whittaker parameter, rational or not) must be nonzero at the point, and
-    every entry of M's columns must have a denominator that is a unit there.
-    P's coefficients are Laurent polynomials in the lam with integer
-    coefficients (lam^(+-1) times binomials for Whittaker, lam + k for TL,
-    integers otherwise), and `act_cell` multiplies them by M's entries and
-    by integers.  So every coefficient of the truncated window action lies
-    in the local ring R of Z[l1, ...] at the point, and the lazy tables of
+    every entry of M's columns must have a denominator that is a unit there
+    (`_PointModule` evaluates M's table before anything is closed, and a
+    vanishing denominator raises).  The coefficients of P's per-factor
+    words are Laurent polynomials in the lam with integer coefficients
+    (lam^(+-1) times binomials for Whittaker, lam + k for TL, integers
+    otherwise).  So the words, M's entries and the integers a_i of
+    `act_cell` all lie in the local ring R of Z[l1, ...] at the point.
+    Reduction from R to Z/p is a ring homomorphism, so it commutes with the
+    products and sums by which `act_cell` and `_tensor` build an image: the
+    product of the evaluated factor words and M entries, summed with ints,
+    is the evaluated exact coefficient mod p.  So the lazy tables of
     `_AtPoint` are the reduction of one total operator on the window per
-    t^alpha d_j, in whatever order they are filled.  The closure of a seed
-    at the point is then spanned by the reductions of the exact images
-    w(seed), w a word in the truncated operators.  If it has the window's
-    dimension N, some N of those images have a determinant that is a unit
-    of R, hence nonzero: they are independent over Q(l1, ...), and the exact
-    closure is the window too (rank can only drop under specialisation).
-    The certified-seed shortcut (`generators`) stays valid at the point for
-    the same reason as over Q: a closed span at the point that contains a
-    seed whose closure there is the window is the window.  Every
-    coefficient the route evaluates is guarded as well: a denominator that
-    vanishes at the point means the exact route for every seed.
+    t^alpha d_j, in whatever order they are filled, and no exact image is
+    built.  The closure of a seed at the point is then spanned by the
+    reductions of the exact images w(seed), w a word in the truncated
+    operators.  If it has the window's dimension N, some N of those images
+    have a determinant that is a unit of R, hence nonzero: they are
+    independent over Q(l1, ...), and the exact closure is the window too
+    (rank can only drop under specialisation).  The certified-seed shortcut
+    (`generators`) stays valid at the point for the same reason as over Q:
+    a closed span at the point that contains a seed whose closure there is
+    the window is the window.  Every coefficient the route evaluates is
+    guarded as well: a denominator that vanishes at the point means the
+    exact route for every seed.
     """
     try:
         # factors without a parameter count as lam = 1
         if not all(at_point(getattr(f, "lam", ONE)) for f in F.P.factors):
             return 0
-        for cols in F.M.action.values():
-            for col in cols:
-                for x in col.values():
-                    at_point(x)
         view = _AtPoint(F, D)
         full = len(F.window_basis(D))
         certified: List[Dict[Cell, int]] = []

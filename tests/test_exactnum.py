@@ -9,6 +9,7 @@ from wittmod import exactnum
 from wittmod.exactnum import (
     MOD_P, ONE, ExactMatrix, Scalar, Echelon, EchelonModP, _pgcd, at_point,
     coordinate_block_intersection, kernel_basis, point_value, rank, vec_axpy,
+    vec_scale,
 )
 
 
@@ -368,6 +369,13 @@ def test_vec_axpy():
     assert out == {0: S(2), 2: S(3) + L2, 3: L1 * L2}
     vec_axpy(out, [(2, S(1)), (0, S(-2))], -L2 - S(3))
     assert out == {0: S(2) * L2 + S(8), 3: L1 * L2}
+
+
+def test_vec_axpy_and_vec_scale_take_ints():
+    # the coefficients of the route at a point are plain ints
+    out = vec_axpy({0: 2, 1: 5}, [(0, -1), (2, 3)], 2)
+    assert out == {1: 5, 2: 6}
+    assert vec_scale(out, 3) == {1: 15, 2: 18} and vec_scale(out, 0) == {}
 
 
 def test_span_dim():

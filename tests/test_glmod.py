@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from wittmod.exactnum import ONE, Scalar, ZERO, vec_axpy
+from wittmod.exactnum import ONE, Scalar, ZERO, at_point, point_value, vec_axpy
 from wittmod.glmod import (
     GlModule, exterior_power, is_fundamental_exterior, is_irreducible,
     natural_module, scalar_module, singular_vectors, sym_power, tensor_module,
@@ -214,3 +214,18 @@ def test_column_shape_is_checked():
     del action[(2, 1)]
     with pytest.raises(ValueError, match="missing action matrix"):
         GlModule(2, nat.labels, action)
+
+
+def test_at_point_evaluates_every_column():
+    l1 = Scalar.param("l1")
+    m = tensor_module(sym_power(2, 2), scalar_module(2, l1))
+    pt = m.at_point()
+    assert (pt.n, pt.dim, pt.labels) == (m.n, m.dim, m.labels)
+    for key, cols in m.action.items():
+        assert pt.action[key] == [
+            {r: at_point(x) for r, x in col.items() if at_point(x)}
+            for col in cols]
+    # a denominator that vanishes at the point has no value there
+    vanishing = ONE / (l1 - S(point_value("l1")))
+    with pytest.raises(ZeroDivisionError):
+        scalar_module(2, vanishing).at_point()

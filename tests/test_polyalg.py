@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from wittmod.exactnum import Scalar
+from wittmod.exactnum import Scalar, vec_axpy
 from wittmod.polyalg import (
     LAURENT, PLUS, PolyElement, exponents_within, render_poly, unit_index,
 )
@@ -106,3 +106,14 @@ def test_exponents_within():
 
 def test_unit_index():
     assert unit_index(3, 2) == (0, 1, 0)
+
+
+def test_truth_value_is_nonzero():
+    assert P(1, PLUS, {(1,): 1}) and not P(1, PLUS, {})
+
+
+def test_vec_axpy_drops_a_zero_poly_value():
+    # vec_axpy keeps a value by its truth, so a zero PolyElement is dropped
+    t = P(1, PLUS, {(1,): 1})
+    assert vec_axpy({}, [("a", P(1, PLUS, {})), ("b", t)]) == {"b": t}
+    assert vec_axpy({"b": t}, [("b", -t)]) == {}

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from wittmod.exactnum import ONE, Echelon, Scalar
+from wittmod.exactnum import MOD_P, ONE, Echelon, Scalar, at_point
 from wittmod.liealg import WeylElement
 from wittmod.polyalg import LAURENT, PLUS
 from wittmod.weylmod import (
@@ -312,3 +312,24 @@ def test_codim_quot_one():
     # missed line being the corner t1^-1...tn^-1.
     assert laurent_quot(1).sum_partial_image_codim(3) == 1
     assert laurent_quot(2).sum_partial_image_codim(3) == 1
+
+
+@pytest.mark.parametrize("P", [
+    whittaker([Scalar.param("l1"), S(3, 2)]),
+    twisted_laurent([Scalar.param("l1"), S(1, 3)]), alaurent(2),
+])
+def test_words_at_the_point_are_the_evaluated_exact_words(P):
+    # each word of P.at_point() is P's word evaluated at the point, so
+    # act_index there is P's act_index evaluated, up to multiples of p
+    Q = P.at_point()
+    assert (Q.mode, Q.exact) == (P.mode, P)
+    for idx in P.window_basis(2):
+        for alpha in ((0, 0), (1, 0), (2, 1), (0, 3)):
+            for j in (None, 1, 2):
+                exact = {q: at_point(x)
+                         for q, x in P.act_index(idx, alpha, j).items()}
+                point = {q: x % MOD_P
+                         for q, x in Q.act_index(idx, alpha, j).items()}
+                assert point == {q: v for q, v in exact.items() if v}
+    assert all(type(c) is int and 0 < c < MOD_P
+               for word in Q._words.values() for _, c in word)

@@ -71,6 +71,14 @@ def test_tensor_forms_no_product_with_a_unit_part(monkeypatch):
     assert out == {(q, 0): x for q, x in img.items()}
 
 
+def test_tensor_keeps_the_plus_mode_guard():
+    # the fused loop refuses t^-1 on a plus-mode P, as act_index does
+    with pytest.raises(ValueError, match="negative exponent"):
+        _tensor({}, apoly(2), (1, 0), [((-1, 0), 1, {0: ONE})])
+    # a part with an empty M-vector is skipped before the guard, as before
+    assert _tensor({}, apoly(2), (1, 0), [((-1, 0), 1, {})]) == {}
+
+
 def test_act_mixed_terms():
     # (t1 t2 d1)(t1 (x) eps1) = 2 t1t2 (x) eps1 + t1^2 (x) eps2
     F = FPModule(apoly(2), exterior_power(2, 1))
@@ -964,6 +972,54 @@ def test_saturation_route_falls_back_when_the_point_does_not_fill(
     at, seeds = routes.count("point"), len(saturation_seeds(F))
     # the seeds that filled at the point are not closed again
     assert at and routes == ["point"] * at + ["exact"] * (seeds - at + 1)
+
+
+@pytest.mark.parametrize("p_expr, m_expr, D, A", [
+    *_SATURATION_CASES, ("Whittaker(l1,l2,l3)", "Sym(2)", 2, 2)])
+def test_saturation_route_images_are_the_exact_images_at_the_point(
+        p_expr, m_expr, D, A):
+    # the view's image of every (operator, window cell) pair is the one the
+    # route used to read: the exact act_cell image cut to the window, each
+    # coefficient evaluated at the point, zeros dropped
+    if p_expr.count(",") == 2:
+        F = FPModule(parse_p(p_expr, 3), parse_m(m_expr, 3))
+    else:
+        F = _module(p_expr, m_expr)
+    exact = FPModule(F.P, F.M)
+    view = wittrep._AtPoint(F, D)
+    cells = F.window_basis(D)
+    window = set(cells)
+    for alpha, j in operators(F.n, A, F.mode):
+        for cell in cells:
+            values = ((d, at_point(x))
+                      for d, x in exact.act_cell(alpha, j, cell).items()
+                      if d in window)
+            assert view.act(alpha, j, {cell: 1}) == {d: v for d, v in values
+                                                      if v}
+    # the view built every image with ints: F itself holds none
+    assert not any(F._columns.values())
+
+
+def test_saturation_route_filling_window_builds_no_exact_image():
+    F = FPModule(whittaker([L1, L2]), sym_power(2, 2))
+    rep = _saturation_report(F, 2, 3, [])
+    assert rep.certified
+    assert all(not table for table in F._columns.values())
+
+
+def test_saturation_route_falls_back_when_an_m_denominator_vanishes(
+        monkeypatch):
+    # Triv(b) with b = 1/(l1 - the point's l1): M's table at the point
+    # cannot be built, so the exact route closes every seed
+    b = ONE / (L1 - Scalar.integer(point_value("l1")))
+    F = FPModule(apoly(2), scalar_module(2, b))
+    with pytest.raises(ZeroDivisionError):
+        F.M.at_point()
+    ref = _saturation_reference(FPModule(F.P, F.M), 2, 3, [])
+    routes = _route_spy(monkeypatch)
+    rep = _saturation_report(F, 2, 3, [])
+    assert _report_tuple(rep) == _report_tuple(ref)
+    assert routes and set(routes) == {"exact"}
 
 
 def test_saturation_route_point_ignores_hash_seed():
