@@ -384,6 +384,11 @@ class _PointModule(FPModule):
     def __init__(self, F: FPModule):
         super().__init__(F.P.at_point(), F.M.at_point())
 
+    def column(self, alpha: MultiIndex, j: int) -> Dict[Cell, FPMVector]:
+        # no memo: the view keeps each image, cut to the window and reduced,
+        # and the full images' unreduced ints would only hold memory
+        return {}
+
 
 class _AtPoint:
     """The level <= D window of F with its action at the fixed point of
