@@ -374,9 +374,9 @@ def submodule_closure(F: FPModule, seeds: Sequence[FPMVector],
 
 class _PointModule(FPModule):
     """F = P (x) M at the fixed point of `exactnum.at_point`: the FPModule
-    over `P.at_point()` and `M.at_point()`, whose inherited `act_cell` and
-    `_tensor` build int images, congruent mod p to the evaluations of F's
-    exact ones.  M's columns are evaluated here, once (ZeroDivisionError
+    over `P.at_point()` and `M.at_point()`, whose inherited `act_cell`
+    builds int images through `_tensor`, congruent mod p to the evaluations
+    of F's exact ones.  M's columns are evaluated here, once (ZeroDivisionError
     when a denominator vanishes at the point); P's words when first used."""
 
     integer = int
