@@ -883,9 +883,6 @@ class ExactMatrix:
                 m.rows[i][j] = x
         return m
 
-    def entry(self, i: int, j: int) -> Scalar:
-        return self.rows[i].get(j, _S_ZERO)
-
     def apply(self, v: Sequence[Scalar]) -> List[Scalar]:
         out = []
         for row in self.rows:

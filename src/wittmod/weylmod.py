@@ -338,7 +338,14 @@ class WeylModule:
         return dict(terms)
 
     def at_point(self) -> "WeylModuleAtPoint":
-        """This module at the fixed point of `exactnum.at_point`."""
+        """This module at the fixed point of `exactnum.at_point`;
+        ZeroDivisionError when a factor parameter lam (a TL twist or a
+        Whittaker parameter, rational or not) vanishes there, or its
+        denominator does: Whittaker's d divides by lam."""
+        for f in self.factors:
+            if isinstance(f, (TwistedFactor, WhittakerFactor)) \
+                    and not at_point(f.lam):
+                raise ZeroDivisionError("%s vanishes at the point" % f.lam)
         return WeylModuleAtPoint(self)
 
     # -- truncation bookkeeping

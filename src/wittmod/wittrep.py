@@ -150,8 +150,10 @@ class FPModule:
         self._columns: Dict[Tuple[MultiIndex, int],
                             Dict[Cell, FPMVector]] = {}
 
-    # the coefficient of an integer, such as act_cell's multiplicities a_i
+    # the coefficient of an integer, such as act_cell's multiplicities a_i,
+    # and the elimination of submodule_closure over those coefficients
     integer = staticmethod(Scalar.integer)
+    echelon = Echelon
 
     def window_basis(self, D: int) -> List[Cell]:
         return [(pidx, m)
@@ -318,10 +320,9 @@ class WindowedSubspace:
             self.dim, self.D, self.F.name)
 
 
-def submodule_closure(F: FPModule, seeds: Sequence[FPMVector],
-                      D: int, A: int,
-                      generators: Sequence[FPMVector] = (),
-                      ech: Optional[Echelon] = None) -> WindowedSubspace:
+def submodule_closure(F: FPModule, seeds: Sequence[FPMVector], D: int, A: int,
+                      generators: Sequence[FPMVector] = ()
+                      ) -> WindowedSubspace:
     """Smallest window-D subspace containing the seeds and closed under
     v -> truncate_D(t^alpha d_j v) for all |alpha| <= A.
 
@@ -336,15 +337,14 @@ def submodule_closure(F: FPModule, seeds: Sequence[FPMVector],
     echelon on the window, the unique reduced form a run to completion
     reaches.  A closure that never reaches a generator is unaffected.
 
-    The loop starts from `ech`, an empty `Echelon()` by default.  Given an
-    `EchelonModP` and, for F, the view `_AtPoint(F, D)`, the same loop
-    closes int vectors over Z/p at the fixed point.
+    The loop starts from an empty `F.echelon()`: an `Echelon` over Q(l1, ...)
+    on an FPModule, and an `EchelonModP` on the view `_AtPoint(F, D)`, where
+    the same loop closes int vectors over Z/p at the fixed point.
     """
     window = F.window_basis(D)
     full = len(window)
     ops = operators(F.n, A, F.mode)
-    if ech is None:
-        ech = Echelon()
+    ech = F.echelon()
     work: List[FPMVector] = []
     for s in seeds:
         if any(F.level(c) > D for c in s):
@@ -372,70 +372,51 @@ def submodule_closure(F: FPModule, seeds: Sequence[FPMVector],
     return WindowedSubspace(F, D, ech)
 
 
-class _PointModule(FPModule):
-    """F = P (x) M at the fixed point of `exactnum.at_point`: the FPModule
-    over `P.at_point()` and `M.at_point()`, whose inherited `act_cell`
-    builds int images through `_tensor`, congruent mod p to the evaluations
-    of F's exact ones.  M's columns are evaluated here, once (ZeroDivisionError
-    when a denominator vanishes at the point); P's words when first used."""
+class _AtPoint(FPModule):
+    """The FPModule over `F.P.at_point()` and `F.M.at_point()`, the point of
+    `exactnum.at_point`, with its action cut to the level <= D window: the F
+    of `submodule_closure` on its Z/p route, so its echelon is `EchelonModP`.
 
-    integer = int
-
-    def __init__(self, F: FPModule):
-        super().__init__(F.P.at_point(), F.M.at_point())
-
-    def column(self, alpha: MultiIndex, j: int) -> Dict[Cell, FPMVector]:
-        # no memo: the view keeps each image, cut to the window and reduced,
-        # and the full images' unreduced ints would only hold memory
-        return {}
-
-
-class _AtPoint:
-    """The level <= D window of F with its action at the fixed point of
-    `exactnum.at_point`, the F of `submodule_closure` on its Z/p route.
-
-    Vectors are {cell: int}.  P and M are specialised once per view, in a
-    `_PointModule`.  Each operator keeps one column table, cell -> image,
-    built lazily from that module's `act_cell` with ints, truncated to the
-    window and reduced mod p.  So images lie in the window already,
-    `truncate` returns them as they are, and F itself builds no image.
+    Vectors are {cell: int}.  Specialising P and M raises ZeroDivisionError
+    when a factor parameter or a denominator of M vanishes at the point.
+    The inherited `act_cell` builds each image with ints, through `_tensor`;
+    `column` keeps no memo of those full images.  Each operator keeps its
+    own table instead, cell -> image cut to the window and reduced mod p,
+    so images lie in the window already and `truncate` returns them as they
+    are.
     """
 
+    integer = int
+    echelon = EchelonModP
+
     def __init__(self, F: FPModule, D: int):
-        self.F, self.D = F, D
-        self.n, self.mode = F.n, F.mode
-        self.window_basis, self.level = F.window_basis, F.level
-        self._window = set(F.window_basis(D))
-        self._point = _PointModule(F)
-        self._columns: Dict[Tuple[MultiIndex, int], Dict[Cell, List]] = {}
+        super().__init__(F.P.at_point(), F.M.at_point())
+        self._window = set(self.window_basis(D))
+        self._cut: Dict[Tuple[MultiIndex, int], Dict[Cell, List]] = {}
+
+    def column(self, alpha: MultiIndex, j: int) -> Dict[Cell, FPMVector]:
+        # no memo: the unreduced ints of full images would only hold memory
+        return {}
 
     def truncate(self, vec: Dict[Cell, int], D: int) -> Dict[Cell, int]:
         return vec
 
     def act(self, alpha: MultiIndex, j: int,
             vec: Dict[Cell, int]) -> Dict[Cell, int]:
-        table = self._columns.get((alpha, j))
+        table = self._cut.get((alpha, j))
         if table is None:
-            table = self._columns[(alpha, j)] = {}
+            table = self._cut[(alpha, j)] = {}
+        window = self._window
         out: Dict[Cell, int] = {}
         for cell, c in vec.items():
             img = table.get(cell)
             if img is None:
-                img = table[cell] = self._column(alpha, j, cell)
+                img = table[cell] = [
+                    (d, r) for d, x in self.act_cell(alpha, j, cell).items()
+                    if d in window and (r := x % MOD_P)]
             for d, x in img:
                 out[d] = out.get(d, 0) + c * x
         return {d: x % MOD_P for d, x in out.items() if x % MOD_P}
-
-    def _column(self, alpha: MultiIndex, j: int,
-                cell: Cell) -> List[Tuple[Cell, int]]:
-        window = self._window
-        out = []
-        for d, x in self._point.act_cell(alpha, j, cell).items():
-            if d in window:
-                x %= MOD_P
-                if x:
-                    out.append((d, x))
-        return out
 
 
 def l_window(P: WeylModule, r: int, D: int) -> WindowedSubspace:
@@ -663,13 +644,14 @@ def _seeds_filling_at_point(F: FPModule, seeds: Sequence[FPMVector],
 
     Why this is sound.  First, every factor parameter lam of P (a TL or
     Whittaker parameter, rational or not) must be nonzero at the point, and
-    every entry of M's columns must have a denominator that is a unit there
-    (`_PointModule` evaluates M's table before anything is closed, and a
-    vanishing denominator raises).  The coefficients of P's per-factor
-    words are Laurent polynomials in the lam with integer coefficients
-    (lam^(+-1) times binomials for Whittaker, lam + k for TL, integers
-    otherwise).  So the words, M's entries and the integers a_i of
-    `act_cell` all lie in the local ring R of Z[l1, ...] at the point.
+    every entry of M's columns must have a denominator that is a unit there:
+    `WeylModule.at_point` and `GlModule.at_point` raise ZeroDivisionError
+    otherwise, when the view `_AtPoint` specialises P and M, before anything
+    is closed.  The coefficients of P's per-factor words are Laurent
+    polynomials in the lam with integer coefficients (lam^(+-1) times
+    binomials for Whittaker, lam + k for TL, integers otherwise).  So the
+    words, M's entries and the integers a_i of `act_cell` all lie in the
+    local ring R of Z[l1, ...] at the point.
     Reduction from R to Z/p is a ring homomorphism, so it commutes with the
     products and sums by which `act_cell` and `_tensor` build an image: the
     product of the evaluated factor words and M entries, summed with ints,
@@ -685,20 +667,16 @@ def _seeds_filling_at_point(F: FPModule, seeds: Sequence[FPMVector],
     (`generators`) stays valid at the point for the same reason as over Q:
     a closed span at the point that contains a seed whose closure there is
     the window is the window.  Every coefficient the route evaluates is
-    guarded as well: a denominator that vanishes at the point means the
-    exact route for every seed.
+    guarded as well: a parameter or a denominator that vanishes at the
+    point means the exact route for every seed.
     """
     try:
-        # factors without a parameter count as lam = 1
-        if not all(at_point(getattr(f, "lam", ONE)) for f in F.P.factors):
-            return 0
         view = _AtPoint(F, D)
         full = len(F.window_basis(D))
         certified: List[Dict[Cell, int]] = []
         for seed in seeds:
             s = {c: at_point(x) for c, x in seed.items()}
-            if submodule_closure(view, [s], D, A, certified,
-                                 EchelonModP()).dim < full:
+            if submodule_closure(view, [s], D, A, certified).dim < full:
                 break
             certified.append(s)
     except ZeroDivisionError:

@@ -4,7 +4,9 @@ import random
 
 import pytest
 
-from wittmod.exactnum import MOD_P, ONE, Echelon, Scalar, at_point
+from wittmod.exactnum import (
+    MOD_P, ONE, Echelon, Scalar, at_point, point_value,
+)
 from wittmod.liealg import WeylElement
 from wittmod.polyalg import LAURENT, PLUS
 from wittmod.weylmod import (
@@ -333,3 +335,11 @@ def test_words_at_the_point_are_the_evaluated_exact_words(P):
                 assert point == {q: v for q, v in exact.items() if v}
     assert all(type(c) is int and 0 < c < MOD_P
                for word in Q._words.values() for _, c in word)
+
+
+@pytest.mark.parametrize("make", [whittaker, twisted_laurent])
+def test_at_point_rejects_a_parameter_vanishing_there(make):
+    # Whittaker's d divides by lam, and a twist lam = 0 is no twist
+    lam = Scalar.param("l1") - Scalar.integer(point_value("l1"))
+    with pytest.raises(ZeroDivisionError):
+        make([lam, Scalar.param("l2")]).at_point()

@@ -931,9 +931,9 @@ def _route_spy(monkeypatch):
     routes = []
     closure = wittrep.submodule_closure
 
-    def spy(F, seeds, D, A, generators=(), ech=None):
-        routes.append("point" if isinstance(ech, EchelonModP) else "exact")
-        return closure(F, seeds, D, A, generators, ech)
+    def spy(F, seeds, D, A, generators=()):
+        routes.append("point" if isinstance(F, wittrep._AtPoint) else "exact")
+        return closure(F, seeds, D, A, generators)
 
     monkeypatch.setattr(wittrep, "submodule_closure", spy)
     return routes
@@ -958,14 +958,14 @@ def test_saturation_route_falls_back_when_the_point_does_not_fill(
     # closes it and every later seed and certifies
     F = FPModule(apoly(2), scalar_module(2, L1))
     ref = _saturation_reference(FPModule(F.P, F.M), 2, 3, [])
-    column = wittrep._AtPoint._column
+    act_cell = wittrep._AtPoint.act_cell
 
     def zeroed(view, alpha, j, cell):
-        img = view.F.act_cell(alpha, j, cell)
-        return [(d, v) for d, v in column(view, alpha, j, cell)
-                if img[d] is not ONE]
+        img = F.act_cell(alpha, j, cell)
+        return {d: v for d, v in act_cell(view, alpha, j, cell).items()
+                if img[d] is not ONE}
 
-    monkeypatch.setattr(wittrep._AtPoint, "_column", zeroed)
+    monkeypatch.setattr(wittrep._AtPoint, "act_cell", zeroed)
     routes = _route_spy(monkeypatch)
     rep = _saturation_report(F, 2, 3, [])
     assert _report_tuple(rep) == _report_tuple(ref) and rep.certified
@@ -1005,6 +1005,16 @@ def test_saturation_route_filling_window_builds_no_exact_image():
     rep = _saturation_report(F, 2, 3, [])
     assert rep.certified
     assert all(not table for table in F._columns.values())
+
+
+def test_saturation_route_module_chooses_the_field():
+    # the view closes over Z/p with no echelon passed in
+    F = FPModule(whittaker([L1, L2]), sym_power(2, 2))
+    view = wittrep._AtPoint(F, 2)
+    seed = {c: at_point(x) for c, x in saturation_seeds(F)[0].items()}
+    sub = submodule_closure(view, [seed], 2, 3)
+    assert isinstance(sub._ech, EchelonModP)
+    assert sub.dim == len(F.window_basis(2)) == 18
 
 
 def test_saturation_route_falls_back_when_an_m_denominator_vanishes(
