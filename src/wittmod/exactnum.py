@@ -31,9 +31,10 @@ entries, so together they hold at most twice the cap.  A product or sum
 computed again is the same interned object.
 
 Beside the exact field sits one fixed point mod the prime p = 2^31 - 1:
-`at_point` evaluates a Scalar there, and `EchelonModP` eliminates int
-vectors over Z/p.  They serve certificates whose conclusion survives
-specialisation, such as a rank that is full at the point.
+`at_point` evaluates a Scalar there, and `EchelonModP` runs the one
+elimination loop of `Echelon` on int vectors over Z/p, with its own
+canonical entries and inverse.  They serve certificates whose conclusion
+survives specialisation, such as a rank that is full at the point.
 """
 
 from __future__ import annotations
@@ -694,18 +695,9 @@ def vec_clean(u: Vec) -> Vec:
     return {c: x for c, x in u.items() if not x.is_zero()}
 
 
-def _clear(v: Vec, lead, row: Vec) -> None:
-    """v -= v[lead] * row in place, for a monic row led by `lead`.
-
-    The lead entry is dropped rather than computed: 1 * v[lead] cancels it
-    exactly, so that product would be wasted.
-    """
-    x = v.pop(lead)
-    vec_axpy(v, [(c, y) for c, y in row.items() if c != lead], -x)
-
-
 class Echelon:
-    """Incremental reduced row-echelon accumulator over sparse Scalar vectors.
+    """Incremental reduced row-echelon accumulator over sparse vectors, of
+    Scalars here and of ints mod p in `EchelonModP`.
 
     Coordinates may be any mutually sortable hashable values.  Rows are kept
     monic, keyed by their leading (smallest) coordinate, and mutually
@@ -713,7 +705,7 @@ class Echelon:
     span the same subspace iff their row dicts are equal, and clearing a
     vector's lead entries in one pass, each with the coefficient the vector
     had there, leaves its unique residual (no row puts an entry back at a
-    lead).
+    lead).  The field enters only through `_entries` and `_inverse`.
     """
 
     def __init__(self, vecs: Iterable[Vec] = ()):
@@ -721,17 +713,36 @@ class Echelon:
         for v in vecs:
             self.add(v)
 
+    @staticmethod
+    def _entries(v: Vec) -> Vec:
+        """v's canonical entries, zeros dropped; zero is one interned
+        object, so the test costs no call."""
+        return {c: x for c, x in v.items() if x is not _S_ZERO}
+
+    @staticmethod
+    def _inverse(x: Scalar) -> Scalar:
+        return x.inv()
+
     @property
     def dim(self) -> int:
         return len(self.rows)
 
     def reduce(self, vec: Vec) -> Vec:
-        """Fully reduce vec against the accumulated rows; returns the residual."""
-        v = vec_clean(vec)
+        """Fully reduce vec against the accumulated rows; returns the residual.
+        vec need not be canonical: a zero at a lead subtracts only zeros."""
         rows = self.rows
-        for c in [c for c in v if c in rows]:
-            _clear(v, c, rows[c])
-        return v
+        leads = [c for c in vec if c in rows]
+        if not leads:
+            return self._entries(vec)
+        v = dict(vec)
+        for lead in leads:
+            x = -v.pop(lead)
+            for c, y in rows[lead].items():
+                s = v.get(c)
+                v[c] = x * y if s is None else s + x * y
+            # the row's own lead entry, 1, came back as x: drop it
+            del v[lead]
+        return self._entries(v)
 
     def contains(self, vec: Vec) -> bool:
         return not self.reduce(vec)
@@ -747,13 +758,16 @@ class Echelon:
     def _insert(self, r: Vec) -> None:
         """Make the nonzero residual r a monic row."""
         lead = min(r)
-        row = vec_scale(r, r[lead].inv())
+        inv = self._inverse(r[lead])
+        row = self._entries({c: inv * x for c, x in r.items()})
         # keep earlier rows reduced against the new one
+        new = None
         for lc, old in list(self.rows.items()):
             if lead in old:
-                new = dict(old)
-                _clear(new, lead, row)
-                self.rows[lc] = new
+                if new is None:
+                    new = type(self)()
+                    new.rows[lead] = row
+                self.rows[lc] = new.reduce(old)
         self.rows[lead] = row
 
     def basis(self) -> List[Vec]:
@@ -803,39 +817,18 @@ def at_point(x: Scalar) -> int:
     return _peval(x.num) * pow(den, -1, MOD_P) % MOD_P
 
 
-def _reduce_mod_p(vec: Vec, rows: Dict[object, Vec]) -> Vec:
-    """The residual mod p of the int vector vec against monic, mutually
-    reduced rows mod p: each lead entry of vec cleared once, with the
-    coefficient vec had there, as in `Echelon.reduce`."""
-    p = MOD_P
-    v = {c: x % p for c, x in vec.items() if x % p}
-    for lead in [c for c in v if c in rows]:
-        x = v.pop(lead)
-        for c, y in rows[lead].items():
-            if c != lead:
-                v[c] = v.get(c, 0) - x * y
-    return {c: x % p for c, x in v.items() if x % p}
-
-
 class EchelonModP(Echelon):
     """`Echelon` over Z/p, p = MOD_P, on vectors of ints: entries are taken
-    mod p, and rows hold entries in [1, p).  Only the arithmetic of `reduce`
-    and `_insert` is its own; the row invariants, and so `add`, `dim`,
-    `contains`, `basis` and `same_span`, are those of `Echelon`."""
+    mod p, and rows hold entries in [1, p).  The elimination is Echelon's;
+    only the canonical entries and the inverse are the field's."""
 
-    def reduce(self, vec: Vec) -> Vec:
-        return _reduce_mod_p(vec, self.rows)
+    @staticmethod
+    def _entries(v: Vec) -> Vec:
+        return {c: r for c, x in v.items() if (r := x % MOD_P)}
 
-    def _insert(self, r: Vec) -> None:
-        lead = min(r)
-        inv = pow(r[lead], -1, MOD_P)
-        row = {c: x * inv % MOD_P for c, x in r.items()}
-        # keep earlier rows reduced against the new one
-        new = {lead: row}
-        for lc, old in list(self.rows.items()):
-            if lead in old:
-                self.rows[lc] = _reduce_mod_p(old, new)
-        self.rows[lead] = row
+    @staticmethod
+    def _inverse(x: int) -> int:
+        return pow(x, -1, MOD_P)
 
 
 def coordinate_block_intersection(vectors: Iterable[Vec],

@@ -368,7 +368,8 @@ def submodule_closure(F: FPModule, seeds: Sequence[FPMVector], D: int, A: int,
                 if done:
                     break
     if done:
-        ech.rows = {c: {c: ONE} for c in window}
+        one = F.integer(1)
+        ech.rows = {c: {c: one} for c in window}
     return WindowedSubspace(F, D, ech)
 
 
@@ -634,13 +635,18 @@ def saturation_seeds(F: FPModule) -> List[FPMVector]:
     return [{cell: ONE} for cell in F.window_basis(1)]
 
 
-def _seeds_filling_at_point(F: FPModule, seeds: Sequence[FPMVector],
-                            D: int, A: int) -> int:
-    """How many leading seeds close to the level <= D window over Z/p at
-    the fixed point of `exactnum.at_point` (p = 2^31 - 1), each with the
-    seeds before it as generators.  Each of them fills the window over
-    Q(l1, ...) too, so the exact route resumes after them; 0 when a guard
-    below fails.
+def _saturation_report(F: FPModule, D: int, A: int,
+                       details: List[str]) -> IrreducibilityReport:
+    """Certified when every level-<=1 seed generates the window.
+
+    One loop closes the seeds in order, each with the seeds certified
+    before it as generators.  Seeds are closed over Z/p at the fixed point
+    of `exactnum.at_point` (p = 2^31 - 1), on the view `_AtPoint(F, D)`,
+    until the first seed whose window does not fill there; that seed and
+    the rest are closed over Q(l1, ...).  When building the view raises
+    ZeroDivisionError, no seed is closed at the point.  A window that fills
+    at the point fills exactly, so the report is the one the exact loop
+    alone gives.
 
     Why this is sound.  First, every factor parameter lam of P (a TL or
     Whittaker parameter, rational or not) must be nonzero at the point, and
@@ -670,27 +676,6 @@ def _seeds_filling_at_point(F: FPModule, seeds: Sequence[FPMVector],
     guarded as well: a parameter or a denominator that vanishes at the
     point means the exact route for every seed.
     """
-    try:
-        view = _AtPoint(F, D)
-        full = len(F.window_basis(D))
-        certified: List[Dict[Cell, int]] = []
-        for seed in seeds:
-            s = {c: at_point(x) for c, x in seed.items()}
-            if submodule_closure(view, [s], D, A, certified).dim < full:
-                break
-            certified.append(s)
-    except ZeroDivisionError:
-        return 0
-    return len(certified)
-
-
-def _saturation_report(F: FPModule, D: int, A: int,
-                       details: List[str]) -> IrreducibilityReport:
-    """Certified when every level-<=1 seed generates the window.  Seeds are
-    closed at a point mod p first (`_seeds_filling_at_point`), and the exact
-    loop closes the rest over Q(l1, ...), with the seeds certified at the
-    point as generators.  A window that fills at the point fills exactly,
-    so the report is the one the exact loop alone gives."""
     full = len(F.window_basis(D))
     seeds = saturation_seeds(F)
     if not seeds:
@@ -698,9 +683,21 @@ def _saturation_report(F: FPModule, D: int, A: int,
                        " seed to close")
         return IrreducibilityReport("not certified", False, "saturation",
                                     details)
+    try:
+        view: Optional[_AtPoint] = _AtPoint(F, D)
+    except ZeroDivisionError:
+        view = None
     # a seed whose closure reaches a certified seed generates the window too
-    certified = seeds[:_seeds_filling_at_point(F, seeds, D, A)]
-    for seed in seeds[len(certified):]:
+    certified: List[FPMVector] = []
+    certified_at: List[Dict[Cell, int]] = []  # the same seeds at the point
+    for seed in seeds:
+        if view is not None:
+            s = {c: at_point(x) for c, x in seed.items()}
+            if submodule_closure(view, [s], D, A, certified_at).dim == full:
+                certified.append(seed)
+                certified_at.append(s)
+                continue
+            view = None
         sub = submodule_closure(F, [seed], D, A, generators=certified)
         if sub.dim < full:
             cell = next(iter(seed))

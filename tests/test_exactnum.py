@@ -513,5 +513,40 @@ def test_echelon_mod_p_is_the_exact_echelon_reduced():
         assert modp.basis() == [modp.rows[c] for c in sorted(modp.rows)]
     assert EchelonModP().contains({0: MOD_P, 1: -2 * MOD_P})
     assert not EchelonModP([{0: 1}]).contains({1: MOD_P + 1})
-    # one insertion path: only the arithmetic of reduce and _insert differs
+    # one elimination loop: only the canonical entries and the inverse differ
     assert EchelonModP.add is Echelon.add
+    assert EchelonModP.reduce is Echelon.reduce
+    assert EchelonModP._insert is Echelon._insert
+
+
+@pytest.mark.parametrize("field", ["Q(l)", "Z/p"])
+def test_echelon_new_lead_in_two_older_rows(field):
+    # both older rows have an entry at the new row's lead 2, so inserting it
+    # reduces both: row_i - a_i * (the new monic row)
+    if field == "Q(l)":
+        ech, a, b, two, one = Echelon(), L1, L2, S(2), ONE
+        half = Scalar.rational(1, 2)
+    else:
+        ech, a, b, two, one = EchelonModP(), 3, 5, 2, 1
+        half = pow(2, -1, MOD_P)
+    assert ech.add({0: one, 2: a}) and ech.add({1: one, 2: b})
+    assert ech.add({2: two, 3: one})
+    minus = (lambda x: -x) if field == "Q(l)" else (lambda x: -x % MOD_P)
+    assert ech.rows == {0: {0: one, 3: minus(a * half)},
+                        1: {1: one, 3: minus(b * half)},
+                        2: {2: one, 3: half}}
+    assert ech.contains({0: one, 1: one, 2: a + b + two, 3: one})
+
+
+def test_echelon_ignores_explicit_zero_scalars():
+    ZERO = S(0)
+    ech = Echelon([{0: ONE, 2: L1}, {1: ONE, 3: L2}])
+    plain = {1: L1, 2: S(3), 4: L2}
+    # zeros at a lead (0), at another row's entry (3) and elsewhere (5)
+    padded = {0: ZERO, **plain, 3: ZERO, 5: ZERO}
+    assert ech.reduce(padded) == ech.reduce(plain) == {2: S(3),
+                                                       3: -(L1 * L2), 4: L2}
+    assert ech.contains({0: ZERO, 5: ZERO})
+    assert not Echelon().add({0: ZERO})
+    twin = Echelon(ech.basis())
+    assert ech.add(padded) and twin.add(plain) and ech.same_span(twin)

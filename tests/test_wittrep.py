@@ -1017,6 +1017,19 @@ def test_saturation_route_module_chooses_the_field():
     assert sub.dim == len(F.window_basis(2)) == 18
 
 
+def test_saturation_route_filled_closure_keeps_int_rows():
+    # a closure that fills returns the identity rows in the view's field
+    F = FPModule(whittaker([L1, L2]), sym_power(2, 2))
+    view = wittrep._AtPoint(F, 2)
+    seed = {c: at_point(x) for c, x in saturation_seeds(F)[0].items()}
+    sub = submodule_closure(view, [seed], 2, 3)
+    assert sub.is_full()
+    assert all(type(x) is int for row in sub.basis() for x in row.values())
+    row = sub.basis()[0]
+    assert vec_axpy({}, row.items(), 3) == {c: 3 * x for c, x in row.items()}
+    assert sub.contains({c: 5 for c in row})
+
+
 def test_saturation_route_falls_back_when_an_m_denominator_vanishes(
         monkeypatch):
     # Triv(b) with b = 1/(l1 - the point's l1): M's table at the point
