@@ -734,7 +734,11 @@ class Echelon:
         leads = [c for c in vec if c in rows]
         if not leads:
             return self._entries(vec)
-        v = dict(vec)
+        return self._clear(dict(vec), leads, rows)
+
+    def _clear(self, v: Vec, leads: Iterable, rows: Dict[object, Vec]) -> Vec:
+        """The one elimination loop: v (the caller's copy) minus its entry
+        at each lead times that lead's row, as canonical entries."""
         for lead in leads:
             x = -v.pop(lead)
             for c, y in rows[lead].items():
@@ -756,19 +760,18 @@ class Echelon:
         return True
 
     def _insert(self, r: Vec) -> None:
-        """Make the nonzero residual r a monic row."""
+        """Make the nonzero residual r a monic row, the last key of `rows`;
+        older rows are replaced, never changed in place."""
         lead = min(r)
         inv = self._inverse(r[lead])
         row = self._entries({c: inv * x for c, x in r.items()})
-        # keep earlier rows reduced against the new one
-        new = None
-        for lc, old in list(self.rows.items()):
+        # keep earlier rows reduced against the new one: clear its lead
+        rows = self.rows
+        new = {lead: row}
+        for lc, old in list(rows.items()):
             if lead in old:
-                if new is None:
-                    new = type(self)()
-                    new.rows[lead] = row
-                self.rows[lc] = new.reduce(old)
-        self.rows[lead] = row
+                rows[lc] = self._clear(dict(old), (lead,), new)
+        rows[lead] = row
 
     def basis(self) -> List[Vec]:
         return [self.rows[c] for c in sorted(self.rows)]

@@ -88,24 +88,29 @@ def _tensor(out: FPMVector, P: WeylModule, pidx: Tuple,
 
     One loop for Scalar coefficients and, on P and M at the point, int ones:
     the image of p is the tensor product of P's memoized per-factor words,
-    as in `WeylModule.act_index` (with its plus-mode guard), and each of its
-    terms times each w entry goes into out at once.  A word or w entry of 1
-    (always the object ONE) costs no product."""
+    as in `WeylModule.act_index` (with its plus-mode guard), its terms
+    started at c, and each term times each w entry goes into out at once.
+    A one-term word (every word of a weight factor) extends a lone term in
+    place.  A word, w entry or c of 1 (always ONE) costs no product."""
     words = P._words
     plus = P.mode == PLUS
-    if c is ONE:
-        c = None
     for a, j, w in parts:
         if not w:
             continue
         if plus and min(a) < 0:
             raise ValueError("negative exponent %r in plus mode" % (a,))
-        terms = [((), ONE)]
+        terms = [((), c)]
         for pos, (a_pos, k) in enumerate(zip(a, pidx)):
             key = (pos, a_pos, pos + 1 == j, k)
             word = words.get(key)
             if word is None:
                 word = P._word(key)
+            if len(word) == 1 and len(terms) == 1:
+                (k2, c2), = word
+                (head, c1), = terms
+                terms[0] = (head + (k2,), c2 if c1 is ONE
+                            else c1 if c2 is ONE else c1 * c2)
+                continue
             terms = [(head + (k2,),
                       c2 if c1 is ONE else c1 if c2 is ONE else c1 * c2)
                      for head, c1 in terms for k2, c2 in word]
@@ -114,8 +119,6 @@ def _tensor(out: FPMVector, P: WeylModule, pidx: Tuple,
         for q, cp in terms:
             for m, cm in w.items():
                 x = cp if cm is ONE else cp * cm
-                if c is not None:
-                    x = c * x
                 cell = (q, m)
                 s = out.get(cell)
                 if s is not None:
@@ -149,6 +152,8 @@ class FPModule:
         self.name = "F(%s, %s)" % (P.kind, M.name)
         self._columns: Dict[Tuple[MultiIndex, int],
                             Dict[Cell, FPMVector]] = {}
+        # e_m for each M index m, built once
+        self._units = [{m: ONE} for m in range(M.dim)]
 
     # the coefficient of an integer, such as act_cell's multiplicities a_i,
     # and the elimination of submodule_closure over those coefficients
@@ -177,19 +182,23 @@ class FPModule:
         return table
 
     def act_cell(self, alpha: MultiIndex, j: int, cell: Cell) -> FPMVector:
-        """t^alpha d_j applied to a single basis cell (memoized)."""
+        """t^alpha d_j applied to a single basis cell (memoized): `_tensor`
+        adds (t^alpha d_j p) (x) e_m, then each a_i (t^(alpha - e_i) p) (x)
+        E(i,j) e_m with a_i as its multiplier, straight into the image."""
         table = self.column(alpha, j)
         hit = table.get(cell)
         if hit is not None:
             return hit
         pidx, midx = cell
-        parts: List[Part] = [(alpha, j, {midx: ONE})]
+        P = self.P
+        out = table[cell] = _tensor({}, P, pidx,
+                                    [(alpha, j, self._units[midx])])
         for i, a_i in enumerate(alpha, 1):
             col = self.M.act_column(i, j, midx) if a_i else None
             if col:
-                parts.append((alpha[:i - 1] + (a_i - 1,) + alpha[i:], None,
-                              vec_scale(col, self.integer(a_i))))
-        out = table[cell] = _tensor({}, self.P, pidx, parts)
+                _tensor(out, P, pidx,
+                        [(alpha[:i - 1] + (a_i - 1,) + alpha[i:], None, col)],
+                        self.integer(a_i))
         return out
 
     def act(self, alpha: MultiIndex, j: int, vec: FPMVector) -> FPMVector:
@@ -328,7 +337,11 @@ def submodule_closure(F: FPModule, seeds: Sequence[FPMVector], D: int, A: int,
 
     Fixed-point worklist over exact ranks; operators are swept in
     increasing |alpha| order and the loop exits as soon as the window
-    saturates, so the result is deterministic.
+    saturates, so the result is deterministic.  The work list holds the
+    rows the closure inserted (the last of `ech.rows` after a growing
+    `add`), not the raw images: any basis of the span gives the same fixed
+    point, and rows have no entry at an older lead, so on windows spanned
+    by single cells they are single cells where the images are dense.
 
     `generators` are window vectors already known to generate the full
     window.  The closure of a set is the smallest closed subspace containing
@@ -350,7 +363,7 @@ def submodule_closure(F: FPModule, seeds: Sequence[FPMVector], D: int, A: int,
         if any(F.level(c) > D for c in s):
             raise ValueError("seed outside window")
         if ech.add(s):
-            work.append(dict(s))
+            work.append(next(reversed(ech.rows.values())))
 
     def saturated() -> bool:
         return ech.dim >= full or any(ech.contains(g) for g in generators)
@@ -363,7 +376,7 @@ def submodule_closure(F: FPModule, seeds: Sequence[FPMVector], D: int, A: int,
         for alpha, j in ops:
             img = F.truncate(F.act(alpha, j, v), D)
             if img and ech.add(img):
-                work.append(img)
+                work.append(next(reversed(ech.rows.values())))
                 done = saturated()
                 if done:
                     break
@@ -470,7 +483,8 @@ def ltilde_window(P: WeylModule, r: int, D: int, A: int) -> WindowedSubspace:
     the operator's raise bound, for every |alpha| <= A.  Computed purely
     from that invariance condition, with no kernel shortcut, by shrinking a
     candidate basis K (first the window cells) one operator at a time: K
-    becomes the kernel of v -> t^alpha d_j v mod that image window on K."""
+    becomes the kernel of v -> t^alpha d_j v mod that image window on K.
+    Each operator's column table is dropped once its residuals are taken."""
     n = P.n
     if not 0 <= r <= n:
         raise ValueError("wedge degree out of range")
@@ -482,6 +496,7 @@ def ltilde_window(P: WeylModule, r: int, D: int, A: int) -> WindowedSubspace:
         if dprime not in deep:
             deep[dprime] = l_window(P, r, dprime)
         res = [deep[dprime].residual(F_r.act(alpha, j, v)) for v in K]
+        F_r._columns.pop((alpha, j), None)
         if not any(res):
             continue
         K = _kernel_subspace(K, res)
@@ -664,17 +679,18 @@ def _saturation_report(F: FPModule, D: int, A: int,
     is the evaluated exact coefficient mod p.  So the lazy tables of
     `_AtPoint` are the reduction of one total operator on the window per
     t^alpha d_j, in whatever order they are filled, and no exact image is
-    built.  The closure of a seed at the point is then spanned by the
-    reductions of the exact images w(seed), w a word in the truncated
-    operators.  If it has the window's dimension N, some N of those images
-    have a determinant that is a unit of R, hence nonzero: they are
-    independent over Q(l1, ...), and the exact closure is the window too
-    (rank can only drop under specialisation).  The certified-seed shortcut
-    (`generators`) stays valid at the point for the same reason as over Q:
-    a closed span at the point that contains a seed whose closure there is
-    the window is the window.  Every coefficient the route evaluates is
-    guarded as well: a parameter or a denominator that vanishes at the
-    point means the exact route for every seed.
+    built.  The closure queues the rows it inserts, combinations of the
+    seed and of images of earlier rows, so by linearity its span at the
+    point is spanned by the reductions of the exact images w(seed), w a
+    word in the truncated operators.  If it has the window's dimension N,
+    some N of those images have a determinant that is a unit of R, hence
+    nonzero: they are independent over Q(l1, ...), and the exact closure
+    is the window too (rank can only drop under specialisation).  The
+    certified-seed shortcut (`generators`) stays valid at the point for the
+    same reason as over Q: a closed span at the point that contains a seed
+    whose closure there is the window is the window.  Every coefficient the
+    route evaluates is guarded as well: a parameter or a denominator that
+    vanishes at the point means the exact route for every seed.
     """
     full = len(F.window_basis(D))
     seeds = saturation_seeds(F)

@@ -538,6 +538,43 @@ def test_echelon_new_lead_in_two_older_rows(field):
     assert ech.contains({0: one, 1: one, 2: a + b + two, 3: one})
 
 
+@pytest.mark.parametrize("field", ["Q(l)", "Z/p"])
+def test_echelon_keeps_the_new_row_last(field):
+    # a growing add leaves its monic residual as the last row of `rows`, also
+    # when the new lead sits in two older rows; older rows are replaced, not
+    # changed in place, so a row read before stays what it was
+    if field == "Q(l)":
+        ech, a, b, two, one = Echelon(), L1, L2, S(2), ONE
+
+        def monic(r):
+            inv = r[min(r)].inv()
+            return {c: x * inv for c, x in r.items()}
+    else:
+        ech, a, b, two, one = EchelonModP(), 3, 5, 2, 1
+
+        def monic(r):
+            inv = pow(r[min(r)], -1, MOD_P)
+            return {c: x * inv % MOD_P for c, x in r.items()}
+    vecs = [{0: one, 2: a}, {1: one, 2: b}, {2: two, 3: one},
+            {0: one, 1: one, 2: a + b + two, 3: one},  # in the span
+            {3: a, 4: two}, {-1: b, 4: one}]
+    grown = []
+    for v in vecs:
+        r = ech.reduce(v)
+        before = {lead: dict(row) for lead, row in ech.rows.items()}
+        olds = list(ech.rows.values())
+        assert ech.add(v) == bool(r)
+        if not r:
+            assert ech.rows == before
+            continue
+        lead, row = list(ech.rows.items())[-1]
+        assert lead == min(r) and row == monic(r)
+        grown.append(lead)
+        assert all(old == before[c] for c, old in zip(before, olds))
+    assert grown == [0, 1, 2, 3, -1]
+    assert list(ech.rows) == grown
+
+
 def test_echelon_ignores_explicit_zero_scalars():
     ZERO = S(0)
     ech = Echelon([{0: ONE, 2: L1}, {1: ONE, 3: L2}])

@@ -79,6 +79,48 @@ def test_tensor_keeps_the_plus_mode_guard():
     assert _tensor({}, apoly(2), (1, 0), [((-1, 0), 1, {})]) == {}
 
 
+def _act_cell_by_steps(F, alpha, j, cell):
+    # t^alpha d_j on p (x) e_m by stepping generators: (t^alpha d_j p) (x) e_m
+    # plus a_i (t^(alpha - e_i) p) (x) E(i, j) e_m for each i with a_i != 0
+    pidx, midx = cell
+    out = {}
+    p = {pidx: ONE}
+    parts = [(F.P.act_witt_monomial(alpha, j, p), {midx: ONE})]
+    for i, a_i in enumerate(alpha, 1):
+        if a_i:
+            beta = alpha[:i - 1] + (a_i - 1,) + alpha[i:]
+            parts.append((F.P.act_t_monomial(beta, p),
+                          F.M.act(i, j, {midx: Scalar.integer(a_i)})))
+    for pvec, mvec in parts:
+        for q, cp in pvec.items():
+            vec_axpy(out, [((q, m), cp * cm) for m, cm in mvec.items()])
+    return out
+
+
+@pytest.mark.parametrize("p_expr, m_expr, D, A", [
+    ("Apoly", "Sym(2)", 2, 3), ("Alaurent", "Sym(2)", 2, 2),
+    ("Alaurent+", "Ext(1)", 2, 3), ("TL(l1,l2)", "Triv(l1)", 2, 2),
+    ("Quot", "Sym(2)", 2, 2), ("Whittaker(l1,l2)", "Sym(2)", 2, 3),
+    ("Tensor(Quot,Whittaker(l2))", "Nat", 2, 2)])
+def test_act_cell_matches_the_stepping_route(p_expr, m_expr, D, A):
+    # act_cell's parts go straight into the image, the multiplicity as
+    # _tensor's multiplier: the image is the one the generators step to,
+    # on all five factor kinds, Whittaker's multi-term words included, and
+    # at the point on the view, whose ints reduce to the exact image there
+    F = _module(p_expr, m_expr)
+    view = wittrep._AtPoint(F, D)
+    for alpha, j in operators(F.n, A, F.mode):
+        for cell in F.window_basis(D):
+            img = F.act_cell(alpha, j, cell)
+            assert img == _act_cell_by_steps(F, alpha, j, cell)
+            at = ((d, at_point(x)) for d, x in img.items())
+            mod = ((d, x % MOD_P) for d, x in view.act_cell(alpha, j, cell)
+                   .items())
+            assert {d: x for d, x in mod if x} == {d: x for d, x in at if x}
+    multi = [any(len(w) > 1 for w in P._words.values()) for P in (F.P, view.P)]
+    assert multi == [True, True] if "Whittaker" in p_expr else [False, False]
+
+
 def test_act_mixed_terms():
     # (t1 t2 d1)(t1 (x) eps1) = 2 t1t2 (x) eps1 + t1^2 (x) eps2
     F = FPModule(apoly(2), exterior_power(2, 1))
@@ -497,6 +539,97 @@ def test_closure_rejects_seed_outside_window():
         submodule_closure(F, [{((4, 0), 0): ONE}], 2, 3)
 
 
+def _closure_reference(F, seeds, D, A, generators=()):
+    # the closure loop that queued each raw image it inserted, not the row
+    # the insert left in the echelon
+    window = F.window_basis(D)
+    full = len(window)
+    ops = operators(F.n, A, F.mode)
+    ech = F.echelon()
+    work = []
+    for s in seeds:
+        if ech.add(s):
+            work.append(dict(s))
+
+    def saturated():
+        return ech.dim >= full or any(ech.contains(g) for g in generators)
+
+    done = saturated()
+    qi = 0
+    while not done and qi < len(work):
+        v = work[qi]
+        qi += 1
+        for alpha, j in ops:
+            img = F.truncate(F.act(alpha, j, v), D)
+            if img and ech.add(img):
+                work.append(img)
+                done = saturated()
+                if done:
+                    break
+    if done:
+        one = F.integer(1)
+        ech.rows = {c: {c: one} for c in window}
+    return wittrep.WindowedSubspace(F, D, ech)
+
+
+def _parity_case(case):
+    """(F, seeds, D, A, generators, dim of the closure) of a parity case."""
+    if case == "filling TL":
+        F = _module("TL(l1,l2)", "Sym(2)")
+        return F, saturation_seeds(F)[:1], 3, 3, [], 75
+    if case == "Alaurent+ 45 of 123":
+        # the seed the saturation report names, "generated only 45 of 123"
+        F = _module("Alaurent+", "Sym(2)")
+        return F, saturation_seeds(F)[:1], 4, 4, [], 45
+    if case == "pi_map seed":
+        P = apoly(2)
+        F = FPModule(P, exterior_power(2, 1))
+        return F, [pi_map(P, 0, {((1, 1), 0): ONE})], 4, 5, [], 20
+    # the second seed, with the first as a generator
+    F = _module("Whittaker(l1,l2)", "Sym(2)")
+    first, second = saturation_seeds(F)[:2]
+    return F, [second], 2, 3, [first], 18
+
+
+@pytest.mark.parametrize("route", ["exact", "point"])
+@pytest.mark.parametrize("case", ["filling TL", "Alaurent+ 45 of 123",
+                                  "pi_map seed", "generators"])
+def test_closure_parity_with_raw_image_queue(case, route):
+    # queueing the inserted rows, a basis of the same span, reaches the
+    # fixed point the raw images reach: the same reduced rows and dim
+    F, seeds, D, A, gens, dim = _parity_case(case)
+    if route == "point":
+        F = wittrep._AtPoint(F, D)
+        seeds, gens = ([{c: at_point(x) for c, x in v.items()} for v in vs]
+                       for vs in (seeds, gens))
+    sub = submodule_closure(F, seeds, D, A, gens)
+    ref = _closure_reference(F, seeds, D, A, gens)
+    assert sub.dim == ref.dim == dim
+    assert sub.same_span(ref)
+    assert sub.basis() == ref.basis()
+
+
+def test_closure_parity_queues_single_cells(monkeypatch):
+    # the span of a Whittaker window is spanned by single cells, so every
+    # inserted row the point route queues is one: 3,115 cells in 3,115
+    # act calls over the whole report (33,701 cells when the raw images,
+    # dense, were queued)
+    calls, cells = [], []
+    act = wittrep._AtPoint.act
+
+    def spy(self, alpha, j, vec):
+        calls.append(1)
+        cells.append(len(vec))
+        return act(self, alpha, j, vec)
+    monkeypatch.setattr(wittrep._AtPoint, "act", spy)
+    F = FPModule(whittaker([L1, L2]), sym_power(2, 2))
+    rep = _saturation_report(F, 5, 6, [])
+    assert rep.certified
+    assert rep.details == ["all 9 level-<=1 seeds generate the full"
+                           " 63-dimensional window"]
+    assert (len(calls), sum(cells)) == (3115, 3115)
+
+
 def test_l_window_top_degree():
     # summed derivatives of C[t1,t2] cover everything: L is the full window
     lw = l_window(apoly(2), 2, 3)
@@ -587,6 +720,15 @@ def test_ltilde_residuals_per_operator(monkeypatch):
     lt = ltilde_window(whittaker([L1, L2]), 1, 3, 4)
     assert lt.dim == 6
     assert len(calls) == 20 + 29 * 6
+
+
+def test_ltilde_drops_each_operator_column_table():
+    # every operator is visited once: its column table goes with its
+    # residuals, and the returned subspace's module holds none
+    for P, r in ((whittaker([L1, L2]), 1), (apoly(2), 0), (apoly(3), 1)):
+        lt = ltilde_window(P, r, 3, 4)
+        assert lt.dim > 0
+        assert lt.F._columns == {}
 
 
 def test_membership_identities_mod_l():
