@@ -345,6 +345,9 @@ def _run_verify_axioms(spec, P, M):
                    "checks" % (P.kind, checked))
     if not ok2:
         return "chain-map identity fails", False, details + [note2], False
+    if not (pairs and checked):
+        details.append("a suite that checked no case certifies nothing")
+        return "not certified", False, details, False
     return "module axioms hold on the window", True, details, True
 
 
@@ -402,6 +405,10 @@ def _run_torsion(spec, P, M):
     if not ok:
         return ("torsion operator deviates from its closed form", False,
                 [note], False)
+    if not checked:
+        return ("not certified", False,
+                ["0 inputs examined: the window of %s has no cell" % F.name],
+                False)
     details = ["%d randomized inputs on %s, exponents bounded by %d"
                % (checked, F.name, bound),
                "interpolated operator matches its closed form in every case"]

@@ -42,7 +42,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from math import gcd as _igcd
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 Mono = Tuple[Tuple[str, int], ...]
 Poly = Dict[Mono, int]
@@ -864,30 +864,10 @@ class ExactMatrix:
 
     __slots__ = ("nrows", "ncols", "rows")
 
-    def __init__(self, nrows: int, ncols: int,
-                 rows: Optional[List[Vec]] = None):
+    def __init__(self, nrows: int, ncols: int, rows: List[Vec]):
         self.nrows = nrows
         self.ncols = ncols
-        self.rows = [dict() for _ in range(nrows)] if rows is None else rows
-
-    @staticmethod
-    def from_entries(nrows: int, ncols: int, entries) -> "ExactMatrix":
-        """entries: mapping (i, j) -> Scalar (zeros allowed, dropped)."""
-        m = ExactMatrix(nrows, ncols)
-        for (i, j), x in entries.items():
-            if not x.is_zero():
-                m.rows[i][j] = x
-        return m
-
-    def apply(self, v: Sequence[Scalar]) -> List[Scalar]:
-        out = []
-        for row in self.rows:
-            acc = _S_ZERO
-            for j, x in row.items():
-                if not v[j].is_zero():
-                    acc = acc + x * v[j]
-            out.append(acc)
-        return out
+        self.rows = rows
 
 
 def rank(mat: ExactMatrix) -> int:

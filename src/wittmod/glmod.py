@@ -309,13 +309,3 @@ def exterior_degree(m: GlModule, weight: Weight) -> Optional[int]:
             return k
     return None
 
-
-def is_irreducible(m: GlModule) -> bool:
-    """True iff the singular space is one line and that line is cyclic."""
-    return highest_weight(m) is not None
-
-
-def is_fundamental_exterior(m: GlModule) -> Optional[int]:
-    """Return k when m is (isomorphic to) Lambda^k C^n, else None."""
-    weight = highest_weight(m)
-    return None if weight is None else exterior_degree(m, weight)

@@ -128,6 +128,30 @@ def witt_bracket(x: WittElement, y: WittElement) -> WittElement:
     return WittElement(x.n, x.mode, coeffs)
 
 
+def monomial_bracket(n: int, mode: str, x: Tuple[MultiIndex, int],
+                     y: Tuple[MultiIndex, int]
+                     ) -> List[Tuple[MultiIndex, int, Scalar]]:
+    """W_n's structure constants: for x = (a, j) and y = (b, k),
+    [t^a d_j, t^b d_k] = b_j t^(a+b-e_j) d_k - a_k t^(a+b-e_k) d_j, as the
+    (alpha, i, coeff) terms of `witt_bracket(...).monomials()`, in its order
+    (d_i, then alpha), with no WittElement built.  The two terms merge
+    when j = k, and zero coefficients are dropped."""
+    (a, j), (b, k) = x, y
+    if len(a) != n or len(b) != n:
+        raise ValueError("exponent arity mismatch")
+    if mode == PLUS and min(a + b, default=0) < 0:
+        raise ValueError("negative exponent in plus mode")
+    ab = midx_add(a, b)
+    # (d_i, t^(a+b-e_l)) -> integer coefficient
+    terms: Dict[Tuple[int, MultiIndex], int] = {}
+    for i, l, c in ((k, j, b[j - 1]), (j, k, -a[k - 1])):
+        if c:
+            key = (i, midx_sub(ab, unit_index(n, l)))
+            terms[key] = terms.get(key, 0) + c
+    return [(e, i, Scalar.integer(c))
+            for (i, e), c in sorted(terms.items()) if c]
+
+
 # ---------------------------------------------------------------------------
 # Weyl algebra with normal ordering
 # ---------------------------------------------------------------------------

@@ -126,12 +126,6 @@ class PolyElement:
             out[ee] = c * Scalar.integer(k)
         return PolyElement(self.n, self.mode, out)
 
-    def graded_component(self, d: int) -> "PolyElement":
-        """The part of total (signed) degree d."""
-        return PolyElement(self.n, self.mode,
-                           {e: c for e, c in self.terms.items()
-                            if midx_total(e) == d})
-
     # -- views
 
     def is_zero(self) -> bool:

@@ -279,6 +279,37 @@ def test_complex_without_computed_pieces_is_not_certified(capsys):
     assert rep.verdict == "nonzero homology at 4 positions"
 
 
+def test_verify_axioms_without_cases_is_not_certified(capsys):
+    # the lowest cell of Quot(2) has level 2, so at D = 1 neither suite
+    # checks a case, and "axioms hold" would rest on nothing
+    argv = ["verify-axioms", "--P", "Quot", "--M", "Nat", "--window", "1",
+            "--gen-bound", "1"]
+    rep, code = run(parse_spec(argv))
+    assert code == 1 and not rep.certified
+    assert rep.verdict == "not certified"
+    assert rep.details[:2] == [
+        "action axiom on F(Quot, Nat): 0 operator pairs checked",
+        "chain maps over Quot: 0 intertwining and composite checks"]
+    assert main(argv) == 1
+    assert "[certified]" not in capsys.readouterr().out
+    # one level further both suites check cases and certify
+    rep, code = run(parse_spec(argv[:-3] + ["2", "--gen-bound", "1"]))
+    assert code == 0 and rep.certified
+
+
+def test_torsion_on_an_empty_window_is_not_certified(capsys):
+    # no cell to sample: no traceback, and no verdict on 0 inputs
+    argv = ["torsion", "--P", "Quot", "--M", "Nat", "--window", "1",
+            "--gen-bound", "1"]
+    rep, code = run(parse_spec(argv))
+    assert code == 1 and not rep.certified
+    assert rep.verdict == "not certified"
+    assert rep.details == [
+        "0 inputs examined: the window of F(Quot, Nat) has no cell"]
+    assert main(argv) == 1
+    assert "[certified]" not in capsys.readouterr().out
+
+
 def test_verify_shen_reads_no_p(capsys):
     # verify-shen works in the operator algebra alone: any --P is accepted
     # and left unbuilt, and the mode defaults to plus whatever P is

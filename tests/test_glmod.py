@@ -4,8 +4,8 @@ import pytest
 
 from wittmod.exactnum import ONE, Scalar, ZERO, at_point, point_value, vec_axpy
 from wittmod.glmod import (
-    GlModule, exterior_power, is_fundamental_exterior, is_irreducible,
-    natural_module, scalar_module, singular_vectors, sym_power, tensor_module,
+    GlModule, exterior_degree, exterior_power, highest_weight, natural_module,
+    scalar_module, singular_vectors, sym_power, tensor_module,
     weight_decomposition,
 )
 
@@ -90,14 +90,13 @@ def test_tensor_module_and_singular_vectors():
     # e1*e2 - e2*e1 up to scale
     nz = [(i, x) for i, x in enumerate(v) if not x.is_zero()]
     assert len(nz) == 2 and nz[0][1] == -nz[1][1]
-    assert not is_irreducible(m)
+    assert highest_weight(m) is None
 
 
 def test_irreducibility():
-    assert is_irreducible(natural_module(2))
-    assert is_irreducible(sym_power(2, 2))
-    assert is_irreducible(exterior_power(3, 2))
-    assert is_irreducible(scalar_module(2, Scalar.param("b")))
+    for m in (natural_module(2), sym_power(2, 2), exterior_power(3, 2),
+              scalar_module(2, Scalar.param("b"))):
+        assert highest_weight(m) is not None
 
 
 def test_singular_vector_of_sym2():
@@ -109,15 +108,18 @@ def test_singular_vector_of_sym2():
 
 
 def test_is_fundamental_exterior():
-    assert is_fundamental_exterior(exterior_power(2, 1)) == 1
-    assert is_fundamental_exterior(exterior_power(3, 2)) == 2
-    assert is_fundamental_exterior(exterior_power(2, 0)) == 0
-    assert is_fundamental_exterior(scalar_module(2, S(0))) == 0
-    assert is_fundamental_exterior(scalar_module(2, S(2))) == 2
-    assert is_fundamental_exterior(scalar_module(3, S(3))) == 3
-    assert is_fundamental_exterior(sym_power(2, 2)) is None
-    assert is_fundamental_exterior(scalar_module(2, Scalar.param("b"))) is None
-    assert is_fundamental_exterior(natural_module(3)) == 1
+    # k when the irreducible M is Lambda^k C^n, read off its highest weight
+    def degree(m):
+        return exterior_degree(m, highest_weight(m))
+    assert degree(exterior_power(2, 1)) == 1
+    assert degree(exterior_power(3, 2)) == 2
+    assert degree(exterior_power(2, 0)) == 0
+    assert degree(scalar_module(2, S(0))) == 0
+    assert degree(scalar_module(2, S(2))) == 2
+    assert degree(scalar_module(3, S(3))) == 3
+    assert degree(sym_power(2, 2)) is None
+    assert degree(scalar_module(2, Scalar.param("b"))) is None
+    assert degree(natural_module(3)) == 1
 
 
 def _apply(cols, vec):

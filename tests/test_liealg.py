@@ -5,8 +5,8 @@ import pytest
 
 from wittmod.exactnum import Scalar
 from wittmod.liealg import (
-    ToroidalElement, WeylElement, WittElement, shen_tau, toroidal_bracket,
-    witt_bracket,
+    ToroidalElement, WeylElement, WittElement, monomial_bracket, shen_tau,
+    toroidal_bracket, witt_bracket,
 )
 from wittmod.polyalg import LAURENT, PLUS, PolyElement, exponents_within
 
@@ -109,6 +109,36 @@ def test_witt_bracket_matches_ring_operations_on_monomials(n, A, mode):
         got, want = witt_bracket(x, y), _bracket_reference(x, y)
         assert got == want
         assert got.monomials() == want.monomials()
+
+
+@pytest.mark.parametrize("mode", [PLUS, LAURENT])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_monomial_bracket_matches_witt_bracket(n, mode):
+    # the structure constants against the general bracket on every ordered
+    # pair with |alpha| <= 3, including j = k pairs that cancel to 0 and
+    # plus-mode pairs whose t^(a+b-e_j) term has coefficient b_j = 0
+    ops = [(a, j) for a in exponents_within(n, 3, mode)
+           for j in range(1, n + 1)]
+    elems = {op: W(n, mode, *op) for op in ops}
+    cancelled = zero_coeff = 0
+    for (a, j), (b, k) in itertools.product(ops, repeat=2):
+        got = monomial_bracket(n, mode, (a, j), (b, k))
+        ref = witt_bracket(elems[(a, j)], elems[(b, k)]).monomials()
+        assert set(got) == set(ref)
+        assert all(not c.is_zero() for _, _, c in got)
+        if j == k and a[j - 1] == b[j - 1] != 0:
+            cancelled += 1  # b_j t^(a+b-e_j) d_j - a_j t^(a+b-e_j) d_j
+            assert got == []
+        zero_coeff += b[j - 1] == 0
+    assert cancelled and zero_coeff
+
+
+def test_monomial_bracket_keeps_the_plus_mode_guard():
+    with pytest.raises(ValueError, match="negative exponent"):
+        monomial_bracket(2, PLUS, ((-1, 0), 1), ((0, 1), 2))
+    # [t1^-1 d1, t2 d1] = t1^-2 t2 d1
+    assert monomial_bracket(2, LAURENT, ((-1, 0), 1), ((0, 1), 1)) == [
+        ((-2, 1), 1, S(1))]
 
 
 def test_witt_bracket_matches_ring_operations_on_sums():

@@ -37,13 +37,6 @@ def test_partial_laurent_negative():
     assert P(1, LAURENT, {(0,): 1}).partial(1).is_zero()
 
 
-def test_graded_component():
-    p = P(2, LAURENT, {(1, 1): 1, (2, 0): 2, (-1, 1): 7})
-    assert p.graded_component(2) == P(2, LAURENT, {(1, 1): 1, (2, 0): 2})
-    assert p.graded_component(0) == P(2, LAURENT, {(-1, 1): 7})
-    assert p.graded_component(5).is_zero()
-
-
 def test_plus_mode_rejects_negative():
     with pytest.raises(ValueError, match="negative exponent"):
         P(2, PLUS, {(-1, 0): 1})

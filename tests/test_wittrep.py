@@ -121,6 +121,57 @@ def test_act_cell_matches_the_stepping_route(p_expr, m_expr, D, A):
     assert multi == [True, True] if "Whittaker" in p_expr else [False, False]
 
 
+def _act_cell_per_cell(F, alpha, j, cell):
+    # the builder act_cell had before its parts were built once per
+    # operator: the unit part, then each E(i, j) e_m column sliced out per
+    # cell with a_i as _tensor's multiplier
+    pidx, midx = cell
+    out = _tensor({}, F.P, pidx, [(alpha, j, {midx: ONE})])
+    for i, a_i in enumerate(alpha, 1):
+        col = F.M.act_column(i, j, midx) if a_i else None
+        if col:
+            _tensor(out, F.P, pidx,
+                    [(alpha[:i - 1] + (a_i - 1,) + alpha[i:], None, col)],
+                    F.integer(a_i))
+    return out
+
+
+@pytest.mark.parametrize("p_expr, m_expr, D, A", [
+    ("Apoly", "Sym(2)", 2, 3), ("Alaurent", "Ext(1)*Sym(2)", 2, 2),
+    ("TL(l1,l2)", "Triv(l1)", 2, 2), ("Quot", "Sym(2)", 3, 2),
+    ("Whittaker(l1,l2)", "Sym(2)", 2, 3)])
+def test_act_cell_matches_the_per_cell_builder(p_expr, m_expr, D, A):
+    # the same entries in the same order, on the exact route and with ints
+    # on the view at the point
+    F = _module(p_expr, m_expr)
+    for G in (F, wittrep._AtPoint(F, D)):
+        for alpha, j in operators(F.n, A, F.mode):
+            for cell in G.window_basis(D):
+                got = G.act_cell(alpha, j, cell)
+                assert list(got.items()) == \
+                    list(_act_cell_per_cell(G, alpha, j, cell).items())
+
+
+def test_apply_skips_zero_coefficients_and_drops_cancelled_entries():
+    # t1 t2 d1 on F(Apoly, Nat): a vector with an explicit zero entry and
+    # two cells whose images cancel at a shared cell, added into an `out`
+    # whose entries cancel against the images too
+    F = FPModule(apoly(2), natural_module(2))
+    op = ((1, 1), 1)
+    # u -> 2 t1t2^2 (x) e1 + t1^2t2 (x) e2, v -> 2 t1^2t2 (x) e2
+    u, v, z = ((1, 1), 0), ((2, 0), 1), ((0, 0), 1)
+    vec = {u: ONE, v: S(-1, 2), z: Scalar.integer(0)}
+    out0 = {((1, 2), 0): S(-2), ((5, 5), 0): S(7)}
+    ref = dict(out0)
+    for cell, x in vec.items():
+        vec_axpy(ref, _act_cell_per_cell(F, *op, cell).items(), x)
+    table = F.column(*op)
+    got = wittrep._apply(F, table, *op, vec.items(), dict(out0))
+    assert got == ref == {((5, 5), 0): S(7)}
+    # the zero coefficient's image was never built
+    assert z not in table and u in table and v in table
+
+
 def test_act_mixed_terms():
     # (t1 t2 d1)(t1 (x) eps1) = 2 t1t2 (x) eps1 + t1^2 (x) eps2
     F = FPModule(apoly(2), exterior_power(2, 1))
