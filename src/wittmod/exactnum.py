@@ -463,9 +463,6 @@ class Scalar:
     def is_zero(self) -> bool:
         return self is _S_ZERO
 
-    def is_one(self) -> bool:
-        return self is _S_ONE
-
     def is_rational(self) -> bool:
         return _is_const(self.num) and _is_const(self.den)
 

@@ -319,9 +319,6 @@ class ToroidalElement:
                 clean[(i, j)] = g
         self.matrix = clean
 
-    def matrix_entry(self, i: int, j: int) -> PolyElement:
-        return self.matrix.get((i, j), PolyElement.zero(self.n, self.mode))
-
     def __add__(self, other: "ToroidalElement") -> "ToroidalElement":
         self._check(other)
         return ToroidalElement(self.vector + other.vector,

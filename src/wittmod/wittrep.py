@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from wittmod.exactnum import (
-    MOD_P, Echelon, EchelonModP, ExactMatrix, ONE, Scalar, at_point,
+    Echelon, EchelonModP, ExactMatrix, ONE, Scalar, at_point,
     coordinate_block_intersection, kernel_basis, vec_axpy, vec_clean,
     vec_scale, vec_sub,
 )
@@ -170,9 +170,6 @@ class FPModule:
 
     def level(self, cell: Cell) -> int:
         return self.P.level(cell[0])
-
-    def truncate(self, vec: FPMVector, D: int) -> FPMVector:
-        return {c: x for c, x in vec.items() if self.P.level(c[0]) <= D}
 
     def label(self, cell: Cell) -> str:
         return "%s(x)%s" % (self.P.label(cell[0]), self.M.labels[cell[1]])
@@ -350,9 +347,6 @@ class WindowedSubspace:
     def basis(self) -> List[FPMVector]:
         return self._ech.basis()
 
-    def is_full(self) -> bool:
-        return self.dim == len(self.F.window_basis(self.D))
-
     def same_span(self, other: "WindowedSubspace") -> bool:
         return self._ech.same_span(other._ech)
 
@@ -365,15 +359,16 @@ def submodule_closure(F: FPModule, seeds: Sequence[FPMVector], D: int, A: int,
                       generators: Sequence[FPMVector] = ()
                       ) -> WindowedSubspace:
     """Smallest window-D subspace containing the seeds and closed under
-    v -> truncate_D(t^alpha d_j v) for all |alpha| <= A.
+    v -> t^alpha d_j v cut to the window, for all |alpha| <= A.
 
     Fixed-point worklist over exact ranks; operators are swept in
     increasing |alpha| order and the loop exits as soon as the window
-    saturates, so the result is deterministic.  The work list holds the
-    rows the closure inserted (the last of `ech.rows` after a growing
-    `add`), not the raw images: any basis of the span gives the same fixed
-    point, and rows have no entry at an older lead, so on windows spanned
-    by single cells they are single cells where the images are dense.
+    saturates, so the result is deterministic.  Each image is `F.act`'s,
+    cut to the set of window cells.  The work list holds the rows the
+    closure inserted (the last of `ech.rows` after a growing `add`), not
+    the raw images: any basis of the span gives the same fixed point, and
+    rows have no entry at an older lead, so on windows spanned by single
+    cells they are single cells where the images are dense.
 
     `generators` are window vectors already known to generate the full
     window.  The closure of a set is the smallest closed subspace containing
@@ -383,11 +378,13 @@ def submodule_closure(F: FPModule, seeds: Sequence[FPMVector], D: int, A: int,
     reaches.  A closure that never reaches a generator is unaffected.
 
     The loop starts from an empty `F.echelon()`: an `Echelon` over Q(l1, ...)
-    on an FPModule, and an `EchelonModP` on the view `_AtPoint(F, D)`, where
-    the same loop closes int vectors over Z/p at the fixed point.
+    on an FPModule, and an `EchelonModP` on the view `_AtPoint(F)`, where
+    the same loop closes int vectors, reduced mod p by the echelon, at the
+    fixed point.
     """
     window = F.window_basis(D)
     full = len(window)
+    inside = set(window)
     ops = operators(F.n, A, F.mode)
     ech = F.echelon()
     work: List[FPMVector] = []
@@ -406,7 +403,7 @@ def submodule_closure(F: FPModule, seeds: Sequence[FPMVector], D: int, A: int,
         v = work[qi]
         qi += 1
         for alpha, j in ops:
-            img = F.truncate(F.act(alpha, j, v), D)
+            img = {c: x for c, x in F.act(alpha, j, v).items() if c in inside}
             if img and ech.add(img):
                 work.append(next(reversed(ech.rows.values())))
                 done = saturated()
@@ -419,50 +416,23 @@ def submodule_closure(F: FPModule, seeds: Sequence[FPMVector], D: int, A: int,
 
 
 class _AtPoint(FPModule):
-    """The FPModule over `F.P.at_point()` and `F.M.at_point()`, the point of
-    `exactnum.at_point`, with its action cut to the level <= D window: the F
-    of `submodule_closure` on its Z/p route, so its echelon is `EchelonModP`.
+    """The FPModule over `F.P.at_point()` and `F.M.at_point()`, P and M at
+    the point of `exactnum.at_point`: the F of `submodule_closure` on its
+    Z/p route, so its integers are ints and its echelon is `EchelonModP`.
 
     Vectors are {cell: int}.  Specialising P and M raises ZeroDivisionError
     when a factor parameter or a denominator of M vanishes at the point.
-    The inherited `act_cell` builds each image with ints, through `_tensor`;
-    `column` keeps no memo of those full images.  Each operator keeps its
-    own table instead, cell -> image cut to the window and reduced mod p,
-    so images lie in the window already and `truncate` returns them as they
-    are.
+    The action is FPModule's: `act_cell` builds each image with ints,
+    through `_tensor`, the column tables memoise it, and `act` composes
+    images through `_apply`.  Nothing here reduces mod p; the entries are
+    reduced where `EchelonModP` takes them in.
     """
 
     integer = int
     echelon = EchelonModP
 
-    def __init__(self, F: FPModule, D: int):
+    def __init__(self, F: FPModule):
         super().__init__(F.P.at_point(), F.M.at_point())
-        self._window = set(self.window_basis(D))
-        self._cut: Dict[Tuple[MultiIndex, int], Dict[Cell, List]] = {}
-
-    def column(self, alpha: MultiIndex, j: int) -> Dict[Cell, FPMVector]:
-        # no memo: the unreduced ints of full images would only hold memory
-        return {}
-
-    def truncate(self, vec: Dict[Cell, int], D: int) -> Dict[Cell, int]:
-        return vec
-
-    def act(self, alpha: MultiIndex, j: int,
-            vec: Dict[Cell, int]) -> Dict[Cell, int]:
-        table = self._cut.get((alpha, j))
-        if table is None:
-            table = self._cut[(alpha, j)] = {}
-        window = self._window
-        out: Dict[Cell, int] = {}
-        for cell, c in vec.items():
-            img = table.get(cell)
-            if img is None:
-                img = table[cell] = [
-                    (d, r) for d, x in self.act_cell(alpha, j, cell).items()
-                    if d in window and (r := x % MOD_P)]
-            for d, x in img:
-                out[d] = out.get(d, 0) + c * x
-        return {d: x % MOD_P for d, x in out.items() if x % MOD_P}
 
 
 def l_window(P: WeylModule, r: int, D: int) -> WindowedSubspace:
@@ -688,7 +658,7 @@ def _saturation_report(F: FPModule, D: int, A: int,
 
     One loop closes the seeds in order, each with the seeds certified
     before it as generators.  Seeds are closed over Z/p at the fixed point
-    of `exactnum.at_point` (p = 2^31 - 1), on the view `_AtPoint(F, D)`,
+    of `exactnum.at_point` (p = 2^31 - 1), on the view `_AtPoint(F)`,
     until the first seed whose window does not fill there; that seed and
     the rest are closed over Q(l1, ...).  When building the view raises
     ZeroDivisionError, no seed is closed at the point.  A window that fills
@@ -704,25 +674,29 @@ def _saturation_report(F: FPModule, D: int, A: int,
     polynomials in the lam with integer coefficients (lam^(+-1) times
     binomials for Whittaker, lam + k for TL, integers otherwise).  So the
     words, M's entries and the integers a_i of `act_cell` all lie in the
-    local ring R of Z[l1, ...] at the point.
-    Reduction from R to Z/p is a ring homomorphism, so it commutes with the
-    products and sums by which `act_cell` and `_tensor` build an image: the
-    product of the evaluated factor words and M entries, summed with ints,
-    is the evaluated exact coefficient mod p.  So the lazy tables of
-    `_AtPoint` are the reduction of one total operator on the window per
-    t^alpha d_j, in whatever order they are filled, and no exact image is
-    built.  The closure queues the rows it inserts, combinations of the
-    seed and of images of earlier rows, so by linearity its span at the
-    point is spanned by the reductions of the exact images w(seed), w a
-    word in the truncated operators.  If it has the window's dimension N,
-    some N of those images have a determinant that is a unit of R, hence
-    nonzero: they are independent over Q(l1, ...), and the exact closure
-    is the window too (rank can only drop under specialisation).  The
-    certified-seed shortcut (`generators`) stays valid at the point for the
-    same reason as over Q: a closed span at the point that contains a seed
-    whose closure there is the window is the window.  Every coefficient the
-    route evaluates is guarded as well: a parameter or a denominator that
-    vanishes at the point means the exact route for every seed.
+    local ring R of Z[l1, ...] at the point, and reduction from R to Z/p is
+    a ring homomorphism.  The view builds its images with ints and reduces
+    none of them: `act_cell` and `_tensor` take products and sums of the
+    evaluated words and M entries, `_apply` combines the images of a
+    queued row's cells with the row's entries, and the closure keeps the
+    entries at window cells.  The exact route takes the same products and
+    sums over Q(l1, ...), so each int the view builds is congruent mod p to
+    the exact coefficient evaluated at the point.  `EchelonModP` reduces
+    every vector it takes in, so it sees the reduction of the exact image
+    cut to the window, whatever the size of the ints and in whatever order
+    the column tables are filled, and no exact image is built.  The closure
+    queues the rows it inserts, combinations of the seed and of images of
+    earlier rows, so by linearity its span at the point is spanned by the
+    reductions of the exact images w(seed), w a word in the operators cut to
+    the window.  If it has the window's dimension N, some N of those images
+    have a determinant that is a unit of R, hence nonzero: they are
+    independent over Q(l1, ...), and the exact closure is the window too
+    (rank can only drop under specialisation).  The certified-seed shortcut
+    (`generators`) stays valid at the point for the same reason as over Q:
+    a closed span at the point that contains a seed whose closure there is
+    the window is the window.  Every coefficient the route evaluates is
+    guarded as well: a parameter or a denominator that vanishes at the
+    point means the exact route for every seed.
     """
     full = len(F.window_basis(D))
     seeds = saturation_seeds(F)
@@ -732,7 +706,7 @@ def _saturation_report(F: FPModule, D: int, A: int,
         return IrreducibilityReport("not certified", False, "saturation",
                                     details)
     try:
-        view: Optional[_AtPoint] = _AtPoint(F, D)
+        view: Optional[_AtPoint] = _AtPoint(F)
     except ZeroDivisionError:
         view = None
     # a seed whose closure reaches a certified seed generates the window too

@@ -210,7 +210,7 @@ def test_criterion_09_submodule_lattice_of_scalar_case():
     for cell in win:
         if cell[0] == (0, 0):
             continue
-        if submodule_closure(F, [{cell: ONE}], 4, 5).is_full():
+        if submodule_closure(F, [{cell: ONE}], 4, 5).dim == len(win):
             full_count += 1
     ok = ok and full_count == len(win) - 1
     _verdict(9, ok,

@@ -108,7 +108,7 @@ def _same(a, b):
 
 def test_equal_values_share_canonical_form():
     inv = S(1) / L1
-    assert _same(inv * L1, ONE) and (inv * L1).is_one()
+    assert _same(inv * L1, ONE) and (inv * L1) is ONE
     assert _same(inv * L1 * L1, L1) and _same(L1.inv().inv(), L1)
     routes = [S(1) / (L1 * (L1 + S(1))),
               (S(1) / L1) * (S(1) / (L1 + S(1))),

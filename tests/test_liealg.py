@@ -222,8 +222,8 @@ def test_shen_tau_example():
     x = W(2, PLUS, (2, 0), 2)
     t = shen_tau(x)
     assert t.vector == x
-    assert t.matrix_entry(1, 2) == PolyElement(2, PLUS, {(1, 0): S(2)})
-    assert t.matrix_entry(2, 2).is_zero()
+    assert t.matrix.get((1, 2)) == PolyElement(2, PLUS, {(1, 0): S(2)})
+    assert t.matrix.get((2, 2)) is None
     assert str(t) == "t1^2*d2 + 2*t1*E(1,2)"
 
 

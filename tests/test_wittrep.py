@@ -108,7 +108,7 @@ def test_act_cell_matches_the_stepping_route(p_expr, m_expr, D, A):
     # on all five factor kinds, Whittaker's multi-term words included, and
     # at the point on the view, whose ints reduce to the exact image there
     F = _module(p_expr, m_expr)
-    view = wittrep._AtPoint(F, D)
+    view = wittrep._AtPoint(F)
     for alpha, j in operators(F.n, A, F.mode):
         for cell in F.window_basis(D):
             img = F.act_cell(alpha, j, cell)
@@ -144,7 +144,7 @@ def test_act_cell_matches_the_per_cell_builder(p_expr, m_expr, D, A):
     # the same entries in the same order, on the exact route and with ints
     # on the view at the point
     F = _module(p_expr, m_expr)
-    for G in (F, wittrep._AtPoint(F, D)):
+    for G in (F, wittrep._AtPoint(F)):
         for alpha, j in operators(F.n, A, F.mode):
             for cell in G.window_basis(D):
                 got = G.act_cell(alpha, j, cell)
@@ -524,7 +524,7 @@ def test_closure_constant_line():
 def test_closure_degree_one_saturates():
     F = FPModule(apoly(2), scalar_module(2, Scalar.integer(0)))
     sub = submodule_closure(F, [{((1, 0), 0): ONE}], 4, 5)
-    assert sub.is_full() and sub.dim == 15
+    assert sub.dim == len(F.window_basis(4)) == 15
 
 
 def test_closure_stays_inside_image_subspace():
@@ -548,7 +548,7 @@ def test_closure_monotone_idempotent():
     assert again.same_span(a)
     everything = submodule_closure(
         F, [{c: ONE} for c in F.window_basis(3)], 3, 4)
-    assert everything.is_full()
+    assert everything.dim == len(F.window_basis(3))
 
 
 def test_closure_stops_at_generator():
@@ -568,11 +568,12 @@ def test_closure_stops_at_generator():
     calls.clear()
     early = submodule_closure(F, [seed], 4, 5, generators=[gen])
     # same_span compares the reduced echelon rows
-    assert plain.is_full() and early.same_span(plain)
+    assert plain.dim == len(F.window_basis(4)) and early.same_span(plain)
     assert 0 < len(calls) < plain_calls
     # a seed that is itself a generator stops before any operator runs
     calls.clear()
-    assert submodule_closure(F, [seed], 4, 5, generators=[seed]).is_full()
+    assert submodule_closure(F, [seed], 4, 5, generators=[seed]).dim == \
+        len(F.window_basis(4))
     assert not calls
 
 
@@ -611,7 +612,8 @@ def _closure_reference(F, seeds, D, A, generators=()):
         v = work[qi]
         qi += 1
         for alpha, j in ops:
-            img = F.truncate(F.act(alpha, j, v), D)
+            img = {c: x for c, x in F.act(alpha, j, v).items()
+                   if F.level(c) <= D}
             if img and ech.add(img):
                 work.append(img)
                 done = saturated()
@@ -650,7 +652,7 @@ def test_closure_parity_with_raw_image_queue(case, route):
     # fixed point the raw images reach: the same reduced rows and dim
     F, seeds, D, A, gens, dim = _parity_case(case)
     if route == "point":
-        F = wittrep._AtPoint(F, D)
+        F = wittrep._AtPoint(F)
         seeds, gens = ([{c: at_point(x) for c, x in v.items()} for v in vs]
                        for vs in (seeds, gens))
     sub = submodule_closure(F, seeds, D, A, gens)
@@ -684,7 +686,7 @@ def test_closure_parity_queues_single_cells(monkeypatch):
 def test_l_window_top_degree():
     # summed derivatives of C[t1,t2] cover everything: L is the full window
     lw = l_window(apoly(2), 2, 3)
-    assert lw.is_full()
+    assert lw.dim == len(lw.F.window_basis(3))
     # Whittaker misses one line per window
     lwW = l_window(whittaker([L1, L2]), 2, 3)
     assert lwW.dim == len(lwW.F.window_basis(3)) - 1
@@ -1035,7 +1037,7 @@ def test_saturation_certifies_iff_plain_closures_saturate(P, M, D, A):
         plain = submodule_closure(F, [seed], D, A)
         reuse = submodule_closure(F, [seed], D, A, generators=certified)
         assert reuse.same_span(plain)
-        if plain.is_full():
+        if plain.dim == len(F.window_basis(D)):
             certified.append(seed)
     every = len(certified) == len(saturation_seeds(F))
     rep = _saturation_report(F, D, A, [])
@@ -1171,15 +1173,15 @@ def test_saturation_route_falls_back_when_the_point_does_not_fill(
     *_SATURATION_CASES, ("Whittaker(l1,l2,l3)", "Sym(2)", 2, 2)])
 def test_saturation_route_images_are_the_exact_images_at_the_point(
         p_expr, m_expr, D, A):
-    # the view's image of every (operator, window cell) pair is the one the
-    # route used to read: the exact act_cell image cut to the window, each
-    # coefficient evaluated at the point, zeros dropped
+    # the view's image of every (operator, window cell) pair, cut to the
+    # window and reduced mod p, is the exact act_cell image cut to the
+    # window, each coefficient evaluated at the point, zeros dropped
     if p_expr.count(",") == 2:
         F = FPModule(parse_p(p_expr, 3), parse_m(m_expr, 3))
     else:
         F = _module(p_expr, m_expr)
     exact = FPModule(F.P, F.M)
-    view = wittrep._AtPoint(F, D)
+    view = wittrep._AtPoint(F)
     cells = F.window_basis(D)
     window = set(cells)
     for alpha, j in operators(F.n, A, F.mode):
@@ -1187,8 +1189,11 @@ def test_saturation_route_images_are_the_exact_images_at_the_point(
             values = ((d, at_point(x))
                       for d, x in exact.act_cell(alpha, j, cell).items()
                       if d in window)
-            assert view.act(alpha, j, {cell: 1}) == {d: v for d, v in values
-                                                      if v}
+            got = ((d, x % MOD_P)
+                   for d, x in view.act(alpha, j, {cell: 1}).items()
+                   if d in window)
+            assert {d: x for d, x in got if x} == {d: v for d, v in values
+                                                    if v}
     # the view built every image with ints: F itself holds none
     assert not any(F._columns.values())
 
@@ -1203,20 +1208,38 @@ def test_saturation_route_filling_window_builds_no_exact_image():
 def test_saturation_route_module_chooses_the_field():
     # the view closes over Z/p with no echelon passed in
     F = FPModule(whittaker([L1, L2]), sym_power(2, 2))
-    view = wittrep._AtPoint(F, 2)
+    view = wittrep._AtPoint(F)
     seed = {c: at_point(x) for c, x in saturation_seeds(F)[0].items()}
     sub = submodule_closure(view, [seed], 2, 3)
     assert isinstance(sub._ech, EchelonModP)
     assert sub.dim == len(F.window_basis(2)) == 18
 
 
+def test_saturation_route_view_keeps_only_its_field():
+    # the view inherits FPModule's action whole: one act_cell, one column
+    # memo and one compose loop for both closure routes, and the closure
+    # cuts images to the window itself
+    for name in ("act", "act_cell", "column"):
+        assert getattr(wittrep._AtPoint, name) is getattr(FPModule, name)
+    assert not hasattr(FPModule, "truncate")
+    # the view's images are memoised as ints in its own column tables
+    F = FPModule(whittaker([L1, L2]), sym_power(2, 2))
+    view = wittrep._AtPoint(F)
+    seed = {c: at_point(x) for c, x in saturation_seeds(F)[0].items()}
+    submodule_closure(view, [seed], 2, 3)
+    images = [img for table in view._columns.values()
+              for img in table.values()]
+    assert images and all(type(x) is int for img in images
+                          for x in img.values())
+
+
 def test_saturation_route_filled_closure_keeps_int_rows():
     # a closure that fills returns the identity rows in the view's field
     F = FPModule(whittaker([L1, L2]), sym_power(2, 2))
-    view = wittrep._AtPoint(F, 2)
+    view = wittrep._AtPoint(F)
     seed = {c: at_point(x) for c, x in saturation_seeds(F)[0].items()}
     sub = submodule_closure(view, [seed], 2, 3)
-    assert sub.is_full()
+    assert sub.dim == len(F.window_basis(2))
     assert all(type(x) is int for row in sub.basis() for x in row.values())
     row = sub.basis()[0]
     assert vec_axpy({}, row.items(), 3) == {c: 3 * x for c, x in row.items()}
