@@ -28,7 +28,8 @@ has one object only if every caller shares the same table.  Products and
 sums are memoized on the operand pair, in `_MUL` and `_ADD`.  The two share
 one cap, `_MUL_CAP`: each table is emptied when it reaches that many
 entries, so together they hold at most twice the cap.  A product or sum
-computed again is the same interned object.
+computed again is the same interned object.  The memo is read first; a
+product or sum with ZERO or ONE is taken on a miss and never memoized.
 
 Beside the exact field sits one fixed point mod the prime p = 2^31 - 1:
 `at_point` evaluates a Scalar there, and `EchelonModP` runs the one
@@ -483,13 +484,13 @@ class Scalar:
     # -- arithmetic
 
     def __add__(self, other: "Scalar") -> "Scalar":
-        if self is _S_ZERO:
-            return other
-        if other is _S_ZERO:
-            return self
         key = (self, other)
         out = _ADD.get(key)
         if out is None:
+            if self is _S_ZERO:
+                return other
+            if other is _S_ZERO:
+                return self
             if len(_ADD) >= _MUL_CAP:
                 _ADD.clear()
             out = _ADD[key] = self._sum(other)
@@ -515,15 +516,15 @@ class Scalar:
         return Scalar(_pneg(self.num), self.den, _reduced=True)
 
     def __mul__(self, other: "Scalar") -> "Scalar":
-        if self is _S_ZERO or other is _S_ZERO:
-            return _S_ZERO
-        if other is _S_ONE:
-            return self
-        if self is _S_ONE:
-            return other
         key = (self, other)
         out = _MUL.get(key)
         if out is None:
+            if self is _S_ZERO or other is _S_ZERO:
+                return _S_ZERO
+            if other is _S_ONE:
+                return self
+            if self is _S_ONE:
+                return other
             if len(_MUL) >= _MUL_CAP:
                 _MUL.clear()
             out = _MUL[key] = self._product(other)

@@ -124,7 +124,7 @@ def witt_bracket(x: WittElement, y: WittElement) -> WittElement:
                     for e1, c1 in f.terms.items():
                         vec_axpy(acc, [(midx_add(e1, e2), c2) for e2, c2 in dg],
                                  -c1 if neg else c1)
-        coeffs.append(PolyElement(x.n, x.mode, acc))
+        coeffs.append(PolyElement._of(x.n, x.mode, acc))
     return WittElement(x.n, x.mode, coeffs)
 
 

@@ -76,6 +76,16 @@ class PolyElement:
         self.mode = mode
         self.terms = clean
 
+    @classmethod
+    def _of(cls, n: int, mode: str,
+            terms: Dict[MultiIndex, Scalar]) -> "PolyElement":
+        """The element with `terms` taken as they are: for results built
+        from valid operands, whose exponents have arity n (nonnegative in
+        plus mode) and whose coefficients are nonzero."""
+        p = object.__new__(cls)
+        p.n, p.mode, p.terms = n, mode, terms
+        return p
+
     # -- constructors
 
     @staticmethod
@@ -91,12 +101,12 @@ class PolyElement:
 
     def __add__(self, other: "PolyElement") -> "PolyElement":
         self._check(other)
-        return PolyElement(self.n, self.mode,
-                           vec_axpy(dict(self.terms), other.terms.items()))
+        return PolyElement._of(self.n, self.mode,
+                               vec_axpy(dict(self.terms), other.terms.items()))
 
     def __neg__(self) -> "PolyElement":
-        return PolyElement(self.n, self.mode,
-                           {e: -c for e, c in self.terms.items()})
+        return PolyElement._of(self.n, self.mode,
+                               {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "PolyElement") -> "PolyElement":
         return self + (-other)
@@ -107,7 +117,7 @@ class PolyElement:
         for e1, c1 in self.terms.items():
             vec_axpy(out, [(midx_add(e1, e2), c2)
                            for e2, c2 in other.terms.items()], c1)
-        return PolyElement(self.n, self.mode, out)
+        return PolyElement._of(self.n, self.mode, out)
 
     def scale(self, a: Scalar) -> "PolyElement":
         if a.is_zero():
@@ -124,7 +134,7 @@ class PolyElement:
                 continue
             ee = tuple(x - 1 if idx == i - 1 else x for idx, x in enumerate(e))
             out[ee] = c * Scalar.integer(k)
-        return PolyElement(self.n, self.mode, out)
+        return PolyElement._of(self.n, self.mode, out)
 
     # -- views
 

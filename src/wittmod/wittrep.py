@@ -93,7 +93,13 @@ def _tensor(out: FPMVector, P: WeylModule, pidx: Tuple,
     as in `WeylModule.act_index` (with its plus-mode guard), its terms
     started at c, and each term times each w entry goes into out at once.
     A one-term word (every word of a weight factor) extends a lone term in
-    place.  A word, w entry or c of 1 (always ONE) costs no product."""
+    place.  A word, w entry or c of 1 (always ONE) costs no product.  A
+    zero c adds nothing; otherwise a product of a word coefficient, a w
+    entry and c is nonzero (on P and M at the point too: their words and
+    entries are nonzero ints in [1, p), never reduced), so only a sum is
+    tested for zero."""
+    if not c:
+        return out
     words = P._words
     plus = P.mode == PLUS
     for a, j, w in parts:
@@ -123,12 +129,14 @@ def _tensor(out: FPMVector, P: WeylModule, pidx: Tuple,
                 x = cp if cm is ONE else cm if cp is ONE else cp * cm
                 cell = (q, m)
                 s = out.get(cell)
-                if s is not None:
-                    x = s + x
-                if x:
+                if s is None:
                     out[cell] = x
-                elif s is not None:
-                    del out[cell]
+                else:
+                    x = s + x
+                    if x:
+                        out[cell] = x
+                    else:
+                        del out[cell]
     return out
 
 
@@ -213,7 +221,10 @@ class FPModule:
 
     def act(self, alpha: MultiIndex, j: int, vec: FPMVector) -> FPMVector:
         alpha = tuple(alpha)
-        return _apply(self, self.column(alpha, j), alpha, j, vec.items(), {})
+        out: FPMVector = {}
+        _apply(self, self.column(alpha, j), alpha, j,
+               zip(itertools.repeat(out), vec, vec.values()))
+        return out
 
     def weight_of(self, cell: Cell) -> Tuple[Scalar, ...]:
         """Joint eigenvalue of the t_j d_j on a basis cell."""
@@ -228,15 +239,14 @@ class FPModule:
 
 
 def _apply(F: FPModule, table: Dict[Cell, FPMVector], alpha: MultiIndex,
-           j: int, items: Iterable[Tuple[Cell, Scalar]],
-           out: FPMVector) -> FPMVector:
-    """out += t^alpha d_j of the vector with (cell, coefficient) pairs
-    `items`, in place: the one compose loop of `FPModule.act` and the
-    sweeps.  Images come from the operator's column table `table`, misses
-    from `F.act_cell`.  A zero coefficient is skipped once, a ONE costs no
-    product, and since images hold no zero entry, only a sum is tested for
-    zero."""
-    for cell, c in items:
+           j: int, items: Iterable[Tuple[FPMVector, Cell, Scalar]]) -> None:
+    """out += c * t^alpha d_j cell for each (out, cell, c) in `items`, in
+    place: the one compose loop of `FPModule.act` and the action-axiom
+    sweep, one call feeding any number of destinations.  Images come from
+    the operator's column table `table`, misses from `F.act_cell`.  A zero
+    coefficient is skipped once, a ONE costs no product, and since images
+    hold no zero entry, only a sum is tested for zero."""
+    for out, cell, c in items:
         if not c:
             continue
         img = table.get(cell)
@@ -255,7 +265,6 @@ def _apply(F: FPModule, table: Dict[Cell, FPMVector], alpha: MultiIndex,
                     out[d] = x
                 else:
                     del out[d]
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -826,28 +835,42 @@ def irreducibility_report(P: WeylModule, M: GlModule, D: int,
 def check_action_axiom(F: FPModule, bound: int, D: int) -> Tuple[bool, int, str]:
     """[x, y] v + y(xv) = x(yv) for all monomial pairs with |alpha| <= bound
     on every window cell v, [x, y] from W_n's structure constants
-    (`monomial_bracket`).  Returns (ok, pairs checked, failure note)."""
+    (`monomial_bracket`).  Returns (ok, pairs checked, failure note).
+
+    A pair is checked on the whole window at once: the two sides are one
+    dict per window cell, and each `_apply` call (one per bracket term, one
+    for y(xv), one for x(yv)) feeds every cell's dict."""
     ops = operators(F.n, bound, F.mode)
     cells = F.window_basis(D)
-    # each operator's column table, and its images of the window cells
     tables = [F.column(a, j) for a, j in ops]
-    images = [[F.act_cell(a, j, cell) for cell in cells] for a, j in ops]
+    # the two sides of the current pair on each window cell, reused
+    lhs: List[FPMVector] = [{} for _ in cells]
+    rhs: List[FPMVector] = [{} for _ in cells]
+    # each operator's images of the window cells, as items into lhs and rhs
+    into_lhs, into_rhs = [], []
+    for a, j in ops:
+        images = [F.act_cell(a, j, cell) for cell in cells]
+        for side, into in ((lhs, into_lhs), (rhs, into_rhs)):
+            into.append([(out, d, x) for out, img in zip(side, images)
+                         for d, x in img.items()])
     checked = 0
     for ai, (xa, xj) in enumerate(ops):
         for bi in range(ai + 1, len(ops)):
             ya, yj = ops[bi]
-            br = [(F.column(alpha, j), alpha, j, c) for alpha, j, c
-                  in monomial_bracket(F.n, F.mode, ops[ai], ops[bi])]
-            for cell, xv, yv in zip(cells, images[ai], images[bi]):
-                lhs: FPMVector = {}
-                for table, alpha, j, c in br:
-                    _apply(F, table, alpha, j, ((cell, c),), lhs)
-                _apply(F, tables[bi], ya, yj, xv.items(), lhs)
-                checked += 1
-                if lhs != _apply(F, tables[ai], xa, xj, yv.items(), {}):
-                    return (False, checked,
-                            "pair t^%s d_%d, t^%s d_%d on %s"
-                            % (xa, xj, ya, yj, F.label(cell)))
+            for out in itertools.chain(lhs, rhs):
+                out.clear()
+            for alpha, j, c in monomial_bracket(F.n, F.mode, ops[ai],
+                                                ops[bi]):
+                _apply(F, F.column(alpha, j), alpha, j,
+                       zip(lhs, cells, itertools.repeat(c)))
+            _apply(F, tables[bi], ya, yj, into_lhs[ai])
+            _apply(F, tables[ai], xa, xj, into_rhs[bi])
+            if lhs != rhs:
+                i = next(i for i, (l, r) in enumerate(zip(lhs, rhs)) if l != r)
+                return (False, checked + i + 1,
+                        "pair t^%s d_%d, t^%s d_%d on %s"
+                        % (xa, xj, ya, yj, F.label(cells[i])))
+            checked += len(cells)
     return (True, checked, "")
 
 

@@ -445,6 +445,28 @@ def test_products_past_the_memo_cap_are_the_interned_objects(monkeypatch):
                for (a, b), x in zip(pairs, first))
 
 
+def test_zero_and_one_shortcuts_leave_the_memos_unchanged(monkeypatch):
+    # the memo is read first; a product or sum with ZERO or ONE is taken on
+    # a miss and never memoized, also once the tables are past their cap
+    monkeypatch.setattr(exactnum, "_MUL_CAP", 8)
+    zero = S(0)
+    atoms = [L1 + S(k) for k in range(4)] + [S(1) / (L2 + S(1)), S(5)]
+    for x in atoms:
+        mul, add = dict(exactnum._MUL), dict(exactnum._ADD)
+        assert x * zero is zero and zero * x is zero
+        assert x * ONE is x and ONE * x is x
+        assert x + zero is x and zero + x is x
+        assert exactnum._MUL == mul and exactnum._ADD == add
+    pairs = [(a, b) for a in atoms + [zero, ONE] for b in atoms + [zero, ONE]]
+    first = [a * b for a, b in pairs]
+    assert len(exactnum._MUL) <= 8
+    assert all(a * b is x for (a, b), x in zip(pairs, first))
+    mul = exactnum._pmul
+    assert all(x is Scalar(mul(a.num, b.num), mul(a.den, b.den))
+               for (a, b), x in zip(pairs, first))
+    exactnum._MUL.clear()
+
+
 def test_sums_past_the_memo_cap_are_the_interned_objects(monkeypatch):
     # sums share the product memo's cap
     monkeypatch.setattr(exactnum, "_MUL_CAP", 8)

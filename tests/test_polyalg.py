@@ -110,3 +110,30 @@ def test_vec_axpy_drops_a_zero_poly_value():
     t = P(1, PLUS, {(1,): 1})
     assert vec_axpy({}, [("a", P(1, PLUS, {})), ("b", t)]) == {"b": t}
     assert vec_axpy({"b": t}, [("b", -t)]) == {}
+
+
+def test_results_are_valid_and_the_constructors_keep_their_checks():
+    # +, -, * and partial build their results without the constructor's
+    # per-term checks: rebuilt through it, each is the same element, and
+    # cancelled terms are gone
+    l1 = Scalar.param("l1")
+    a = PolyElement(2, PLUS, {(1, 0): l1, (0, 2): S(3), (0, 0): S(1)})
+    b = PolyElement(2, PLUS, {(1, 0): -l1, (1, 1): S(2)})
+    for r in (a + b, a - a, -b, a * b, a.partial(1), b.partial(2)):
+        assert all(len(e) == 2 and min(e) >= 0 for e in r.terms)
+        assert all(c for c in r.terms.values())
+        assert r == PolyElement(r.n, r.mode, dict(r.terms))
+    assert (a + b).terms == {(0, 2): S(3), (0, 0): S(1), (1, 1): S(2)}
+    assert (a - a).is_zero()
+    # the public constructors still check every term
+    for build in (lambda: PolyElement(2, PLUS, {(1, -1): S(1)}),
+                  lambda: PolyElement.monomial(2, PLUS, (0, -2))):
+        with pytest.raises(ValueError, match="negative exponent"):
+            build()
+    for build in (lambda: PolyElement(2, LAURENT, {(1,): S(1)}),
+                  lambda: PolyElement.monomial(3, PLUS, (1, 0))):
+        with pytest.raises(ValueError, match="arity"):
+            build()
+    with pytest.raises(ValueError, match="mode"):
+        PolyElement.zero(2, "formal")
+    assert PolyElement(1, PLUS, {(1,): S(0)}).is_zero()

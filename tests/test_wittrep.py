@@ -79,6 +79,28 @@ def test_tensor_keeps_the_plus_mode_guard():
     assert _tensor({}, apoly(2), (1, 0), [((-1, 0), 1, {})]) == {}
 
 
+def test_pi_map_and_torsion_expected_leave_no_zero_entry():
+    # _tensor tests only sums for zero and skips a zero coefficient once:
+    # an explicit zero adds nothing, and parts that cancel leave no entry
+    zero = Scalar.integer(0)
+    # pi_1 on F(Apoly, Ext(1)): t2 (x) e1 -> -1 (x) e12, t1 (x) e2 -> 1 (x) e12
+    P = apoly(2)
+    a, b = ((0, 1), 0), ((1, 0), 1)
+    assert pi_map(P, 1, {a: ONE, b: ONE}) == {}
+    assert pi_map(P, 1, {a: ONE, b: zero}) == {((0, 0), 0): -ONE}
+    assert pi_map(P, 1, {a: zero}) == {}
+    # (l, i, j) = (1, 2, 2) on F(Whittaker(l1,l2), Sym(2)) sends
+    # p (x) e2^2 to -2 (t1 p) (x) e1^2, and t1 sends 1 to l1 * 1 and t1 to
+    # l1 t1 - l1 * 1
+    F = FPModule(whittaker([L1, L2]), sym_power(2, 2))
+    u, v = ((0, 0), 0), ((1, 0), 0)
+    got = torsion_expected(F, 1, 2, 2, (1, 0), {u: ONE, v: ONE})
+    assert got == {((1, 0), 2): S(-2) * L1}
+    got = torsion_expected(F, 1, 2, 2, (1, 0), {u: zero, v: ONE})
+    assert got == {((0, 0), 2): S(2) * L1, ((1, 0), 2): S(-2) * L1}
+    assert torsion_expected(F, 1, 2, 2, (1, 0), {u: zero}) == {}
+
+
 def _act_cell_by_steps(F, alpha, j, cell):
     # t^alpha d_j on p (x) e_m by stepping generators: (t^alpha d_j p) (x) e_m
     # plus a_i (t^(alpha - e_i) p) (x) E(i, j) e_m for each i with a_i != 0
@@ -166,10 +188,20 @@ def test_apply_skips_zero_coefficients_and_drops_cancelled_entries():
     for cell, x in vec.items():
         vec_axpy(ref, _act_cell_per_cell(F, *op, cell).items(), x)
     table = F.column(*op)
-    got = wittrep._apply(F, table, *op, vec.items(), dict(out0))
+    got = dict(out0)
+    assert wittrep._apply(F, table, *op,
+                          [(got, c, x) for c, x in vec.items()]) is None
     assert got == ref == {((5, 5), 0): S(7)}
     # the zero coefficient's image was never built
     assert z not in table and u in table and v in table
+    # one call feeds two destinations: each gets its own items' images
+    first, second = dict(out0), {}
+    wittrep._apply(F, table, *op, [(first, u, ONE), (second, v, S(3)),
+                                   (first, v, S(-1, 2)),
+                                   (second, z, Scalar.integer(0))])
+    assert first == ref and z not in table
+    assert second == {d: S(3) * x for d, x in table[v].items()}
+    assert second == {((2, 1), 1): S(6)}
 
 
 def test_act_mixed_terms():
@@ -309,6 +341,39 @@ def test_action_axiom_fails_on_a_wrong_outer_action(monkeypatch):
     assert not got[0]
     assert got[2].startswith("pair t^(0, 0) d_1, ")
     assert got == _axiom_reference(FPModule(apoly(2), natural_module(2)), 2, D)
+
+
+def test_action_axiom_names_the_first_failing_cell_of_a_pair(monkeypatch):
+    # t^(1,1) d_2 loses its matrix part on level-1 cells only: the first
+    # failing pair fails on several window cells, the first of them not
+    # the window's first cell, and the sweep, which checks a pair on the
+    # whole window at once, names that cell and counts up to it
+    act_cell = FPModule.act_cell
+    D = 2
+
+    def broken(self, alpha, j, cell):
+        if (tuple(alpha), j) == ((1, 1), 2) and self.level(cell) == 1:
+            return _tensor({}, self.P, cell[0], [((1, 1), 2, {cell[1]: ONE})])
+        return act_cell(self, alpha, j, cell)
+
+    monkeypatch.setattr(FPModule, "act_cell", broken)
+    F = FPModule(apoly(2), natural_module(2))
+    x, y = ((0, 0), 1), ((1, 1), 2)
+    cells = F.window_basis(D)
+    bad = []
+    for i, cell in enumerate(cells):
+        v = {cell: ONE}
+        lhs = F.act(*y, F.act(*x, v))
+        for alpha, j, c in wittrep.monomial_bracket(2, PLUS, x, y):
+            vec_axpy(lhs, F.act(alpha, j, v).items(), c)
+        if lhs != F.act(*x, F.act(*y, v)):
+            bad.append(i)
+    assert bad[0] > 0 and len(bad) > 1
+    got = check_action_axiom(FPModule(apoly(2), natural_module(2)), 2, D)
+    assert got == _axiom_reference(FPModule(apoly(2), natural_module(2)), 2, D)
+    assert got[2] == "pair t^(0, 0) d_1, t^(1, 1) d_2 on %s" \
+        % F.label(cells[bad[0]])
+    assert got[1] % len(cells) == bad[0] + 1
 
 
 @pytest.mark.parametrize("n, A", [(2, 1), (2, 2), (2, 3), (3, 1)])
