@@ -96,8 +96,8 @@ def _tensor(out: FPMVector, P: WeylModule, pidx: Tuple,
     place.  A word, w entry or c of 1 (always ONE) costs no product.  A
     zero c adds nothing; otherwise a product of a word coefficient, a w
     entry and c is nonzero (on P and M at the point too: their words and
-    entries are nonzero ints in [1, p), never reduced), so only a sum is
-    tested for zero."""
+    entries are nonzero ints, and products are not reduced mod p), so only
+    a sum is tested for zero."""
     if not c:
         return out
     words = P._words
