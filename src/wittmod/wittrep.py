@@ -20,12 +20,13 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple,
+)
 
 from wittmod.exactnum import (
-    Echelon, EchelonModP, ExactMatrix, ONE, Scalar, at_point,
-    coordinate_block_intersection, kernel_basis, vec_axpy, vec_clean,
-    vec_scale, vec_sub,
+    Echelon, EchelonModP, ExactMatrix, ONE, Scalar, at_point, kernel_basis,
+    vec_axpy, vec_clean, vec_scale, vec_sub,
 )
 from wittmod.glmod import (
     GlModule, exterior_degree, exterior_power, highest_weight, wedge_basis,
@@ -444,20 +445,50 @@ class _AtPoint(FPModule):
         super().__init__(F.P.at_point(), F.M.at_point())
 
 
-def l_window(P: WeylModule, r: int, D: int) -> WindowedSubspace:
-    """Window-D part of the image of pi_(r-1), spanned by chain-map images
-    of the level <= D+1 window; r = 0 gives the zero subspace."""
+def l_windows(P: WeylModule, r: int, depths: Iterable[int]
+              ) -> Iterator[Tuple[int, WindowedSubspace]]:
+    """(D, window-D part of the image of pi_(r-1)) for each D in `depths`,
+    once each and in increasing D, all from one elimination; r = 0 gives
+    zero subspaces.
+
+    The pi_(r-1) images of the window cells of F(P, Ext(r-1)) go into one
+    Echelon in `window_basis` order, that is level by level, with each
+    coordinate keyed (-level, cell): higher levels come first, and a row
+    led at level <= D has every entry at level <= D.  Once the cells of
+    level <= D+1 are in, the rows led at level <= D are a basis of the
+    image of that window cut to window D (the argument of
+    `coordinate_block_intersection`, for every D at once), and re-reduced
+    in the cells' own order they are its unique reduced rows.  A depth is
+    built only when the generator is advanced to it."""
     n = P.n
     if not 0 <= r <= n:
         raise ValueError("wedge degree out of range")
     F_r = FPModule(P, exterior_power(n, r))
+    depths = sorted(set(depths))
     if r == 0:
-        return WindowedSubspace(F_r, D, Echelon())
-    F_prev = FPModule(P, exterior_power(n, r - 1))
-    vecs = _pi_images(P, r - 1, F_prev.window_basis(D + 1))
-    window: Set[Cell] = set(F_r.window_basis(D))
-    return WindowedSubspace(
-        F_r, D, coordinate_block_intersection(vecs, lambda c: c in window))
+        for D in depths:
+            yield D, WindowedSubspace(F_r, D, Echelon())
+        return
+    if not depths:
+        return
+    cells = FPModule(P, exterior_power(n, r - 1)).window_basis(depths[-1] + 1)
+    level = P.level
+    ech = Echelon()
+    i = 0
+    for D in depths:
+        while i < len(cells) and level(cells[i][0]) <= D + 1:
+            ech.add({(-level(c[0]), c): x
+                     for c, x in pi_map(P, r - 1, {cells[i]: ONE}).items()})
+            i += 1
+        yield D, WindowedSubspace(F_r, D, Echelon(
+            {c: x for (_, c), x in row.items()}
+            for (top, _), row in ech.rows.items() if -top <= D))
+
+
+def l_window(P: WeylModule, r: int, D: int) -> WindowedSubspace:
+    """Window-D part of the image of pi_(r-1), spanned by chain-map images
+    of the level <= D+1 window: the first window of `l_windows`."""
+    return next(l_windows(P, r, (D,)))[1]
 
 
 def _kernel_subspace(basis: Sequence[FPMVector],
@@ -495,17 +526,22 @@ def ltilde_window(P: WeylModule, r: int, D: int, A: int) -> WindowedSubspace:
     from that invariance condition, with no kernel shortcut, by shrinking a
     candidate basis K (first the window cells) one operator at a time: K
     becomes the kernel of v -> t^alpha d_j v mod that image window on K.
-    Each operator's column table is dropped once its residuals are taken."""
+    The image windows of every depth come from one `l_windows` call, each
+    built when an operator first needs it.  Each operator's column table is
+    dropped once its residuals are taken."""
     n = P.n
     if not 0 <= r <= n:
         raise ValueError("wedge degree out of range")
     F_r = FPModule(P, exterior_power(n, r))
     K: List[FPMVector] = [{c: ONE} for c in F_r.window_basis(D)]
+    ops = operators(n, A, P.mode)
+    dprimes = [D + max(0, P.op_raise_bound(alpha, j)) for alpha, j in ops]
+    windows = l_windows(P, r, dprimes)
     deep: Dict[int, WindowedSubspace] = {}
-    for alpha, j in operators(n, A, P.mode):
-        dprime = D + max(0, P.op_raise_bound(alpha, j))
-        if dprime not in deep:
-            deep[dprime] = l_window(P, r, dprime)
+    for (alpha, j), dprime in zip(ops, dprimes):
+        while dprime not in deep:
+            d, sub = next(windows)
+            deep[d] = sub
         res = [deep[dprime].residual(F_r.act(alpha, j, v)) for v in K]
         F_r._columns.pop((alpha, j), None)
         if not any(res):
@@ -745,15 +781,13 @@ def _saturation_report(F: FPModule, D: int, A: int,
         % (D, A), True, "saturation", details)
 
 
-def _quotient_trivial(P: WeylModule, D: int, A: int,
+def _quotient_trivial(lw: WindowedSubspace, D: int,
+                      ops: Sequence[Tuple[MultiIndex, int]],
                       details: List[str]) -> bool:
-    """Check every |alpha| <= A operator maps the top-wedge window into the
-    image subspace (computed at a window deep enough to hold the images)."""
-    n = P.n
-    F = FPModule(P, exterior_power(n, n))
-    ops = operators(n, A, P.mode)
-    maxraise = max(max(0, P.op_raise_bound(a, j)) for a, j in ops)
-    lw = l_window(P, n, D + maxraise)
+    """Check every operator of `ops` maps the top-wedge window D into the
+    image subspace `lw`, taken at a window deep enough to hold the
+    images."""
+    F = lw.F
     for cell in F.window_basis(D):
         for alpha, j in ops:
             img = F.act_cell(tuple(alpha), j, cell)
@@ -806,13 +840,20 @@ def irreducibility_report(P: WeylModule, M: GlModule, D: int,
         # level <= D, the one P.sum_partial_image_codim eliminates on its
         # own; a residue cell at level exactly D (t1^-1...tn^-1 in
         # Alaurent(n) or Quot(n) at D = n) is seen.
-        lw = l_window(P, n, D)
+        # The quotient check needs the image window deepened by the largest
+        # raise bound; both windows come from one elimination, the deep one
+        # built only when the codimension is positive.
+        ops = operators(n, A, P.mode)
+        maxraise = max(max(0, P.op_raise_bound(a, j)) for a, j in ops)
+        windows = l_windows(P, n, (D, D + maxraise))
+        _, lw = next(windows)
         codim = len(P.window_basis(D)) - lw.dim
         details.append("summed derivative image has codimension %d in the"
                        " window" % codim)
         if codim == 0:
             return _saturation_report(F, D, A, details)
-        trivial = _quotient_trivial(P, D, A, details)
+        deep = next(windows, (D, lw))[1]
+        trivial = _quotient_trivial(deep, D, ops, details)
         details.append("image subspace dimension %d of %d"
                        % (lw.dim, len(F.window_basis(D))))
         return IrreducibilityReport("reducible", trivial,

@@ -15,7 +15,8 @@ from wittmod import wittrep
 from wittmod.cli import main, parse_m, parse_p
 from wittmod.exactnum import (
     MOD_P, Echelon, EchelonModP, ExactMatrix, ONE, Scalar, at_point,
-    kernel_basis, point_value, vec_axpy, vec_sub, vec_clean,
+    coordinate_block_intersection, kernel_basis, point_value, vec_axpy,
+    vec_sub, vec_clean,
 )
 from wittmod.glmod import (
     exterior_power, natural_module, scalar_module, sym_power, tensor_module,
@@ -28,7 +29,7 @@ from wittmod.wittrep import (
     FPModule, _saturation_report, _tensor, check_action_axiom,
     check_chain_map, check_shen_tau, check_torsion, complex_homology,
     fingerprint, interior_invariant, irreducibility_report, kernel_window,
-    l_window, ltilde_window, operators, pi_map, saturation_seeds,
+    l_window, l_windows, ltilde_window, operators, pi_map, saturation_seeds,
     submodule_closure, torsion_expected, torsion_matches, torsion_operator,
     weight_support,
 )
@@ -767,6 +768,102 @@ def test_l_window_middle_equals_kernel():
     kw = kernel_window(apoly(2), 1, 4)
     assert lw.same_span(kw)
     assert interior_invariant(lw, 3)
+
+
+def _l_window_reference(P, r, D):
+    """The reduced rows of the image window by the block intersection:
+    pi_(r-1) of the window D+1 cells, cut to the span of the window D
+    cells."""
+    if r == 0:
+        return {}
+    cells = FPModule(P, exterior_power(P.n, r - 1)).window_basis(D + 1)
+    window = set(FPModule(P, exterior_power(P.n, r)).window_basis(D))
+    return coordinate_block_intersection(
+        wittrep._pi_images(P, r - 1, cells), lambda c: c in window).rows
+
+
+@pytest.mark.parametrize("expr, n, depth", [
+    ("Apoly", 2, 5), ("Alaurent", 2, 5), ("Quot", 2, 5), ("TL(l1,l2)", 2, 5),
+    ("Whittaker(l1,l2)", 2, 5), ("Whittaker(2,-3)", 2, 5),
+    ("Tensor(Apoly,Whittaker(l2))", 2, 5),
+    ("Apoly", 3, 3), ("Alaurent", 3, 3), ("Whittaker(l1,l2,l3)", 3, 3)])
+def test_l_windows_match_block_intersection(expr, n, depth):
+    # one level-ordered elimination gives, at every depth and wedge degree,
+    # the rows the block intersection of that window alone gives
+    P = parse_p(expr, n)
+    for r in range(n + 1):
+        got = list(l_windows(P, r, range(1, depth + 1)))
+        assert [D for D, _ in got] == list(range(1, depth + 1))
+        for D, sub in got:
+            assert sub.D == D
+            assert sub._ech.rows == _l_window_reference(P, r, D), (r, D)
+
+
+def test_l_windows_yields_each_depth_once_in_increasing_order():
+    P = whittaker([L1, L2])
+    got = list(l_windows(P, 1, [4, 2, 4, 1, 2]))
+    assert [D for D, _ in got] == [1, 2, 4]
+    for D, sub in got:
+        single = list(l_windows(P, 1, [D]))
+        assert [d for d, _ in single] == [D]
+        assert sub._ech.rows == single[0][1]._ech.rows
+        assert sub.basis() == l_window(P, 1, D).basis()
+    assert list(l_windows(P, 1, [])) == []
+
+
+def _spy_pi_cells(monkeypatch):
+    """The cells pi_map is called on, one list entry per call and cell."""
+    cells = []
+    pi = wittrep.pi_map
+
+    def spy(P, k, vec):
+        cells.extend(vec)
+        return pi(P, k, vec)
+    monkeypatch.setattr(wittrep, "pi_map", spy)
+    return cells
+
+
+def test_top_degree_report_takes_both_windows_from_one_elimination(
+        monkeypatch):
+    # codimension 1 (the residue cell): the report reads the image window
+    # at D and at D + maxraise, and builds each pi image once for both
+    P, D, A = alaurent(2), 3, 3
+    maxraise = max(max(0, P.op_raise_bound(a, j))
+                   for a, j in operators(2, A, P.mode))
+    cells = _spy_pi_cells(monkeypatch)
+    rep = irreducibility_report(P, exterior_power(2, 2), D, A)
+    assert (rep.verdict, rep.branch) == ("reducible", "top-degree")
+    assert rep.details[0] == ("summed derivative image has codimension 1 in"
+                              " the window")
+    window = FPModule(P, exterior_power(2, 1)).window_basis(D + maxraise + 1)
+    assert sorted(cells) == sorted(window)
+
+
+def test_top_degree_report_with_codimension_zero_stays_at_its_window(
+        monkeypatch):
+    # TL(l1,l2) (x) Ext(2) has no cokernel: the saturation branch decides,
+    # and no pi image beyond the window D + 1 is built
+    P, D = parse_p("TL(l1,l2)", 2), 2
+    cells = _spy_pi_cells(monkeypatch)
+    rep = irreducibility_report(P, exterior_power(2, 2), D, 2)
+    assert rep.branch == "saturation"
+    assert rep.details[0] == ("summed derivative image has codimension 0 in"
+                              " the window")
+    assert sorted(cells) == sorted(
+        FPModule(P, exterior_power(2, 1)).window_basis(D + 1))
+
+
+def test_ltilde_takes_every_deep_window_from_one_elimination(monkeypatch):
+    # Alaurent needs the image window at five depths; each cell of the
+    # deepest window's preimage is sent through pi once
+    P, D, A = alaurent(2), 3, 4
+    depths = {D + max(0, P.op_raise_bound(a, j))
+              for a, j in operators(2, A, P.mode)}
+    assert len(depths) == 5
+    cells = _spy_pi_cells(monkeypatch)
+    assert ltilde_window(P, 1, D, A).dim == 23
+    assert sorted(cells) == sorted(
+        FPModule(P, exterior_power(2, 0)).window_basis(max(depths) + 1))
 
 
 def test_ltilde_equals_kernel():
