@@ -465,13 +465,8 @@ def l_windows(P: WeylModule, r: int, depths: Iterable[int]
         raise ValueError("wedge degree out of range")
     F_r = FPModule(P, exterior_power(n, r))
     depths = sorted(set(depths))
-    if r == 0:
-        for D in depths:
-            yield D, WindowedSubspace(F_r, D, Echelon())
-        return
-    if not depths:
-        return
-    cells = FPModule(P, exterior_power(n, r - 1)).window_basis(depths[-1] + 1)
+    cells = (FPModule(P, exterior_power(n, r - 1)).window_basis(depths[-1] + 1)
+             if r and depths else [])
     level = P.level
     ech = Echelon()
     i = 0
