@@ -30,6 +30,10 @@ one cap, `_MUL_CAP`: each table is emptied when it reaches that many
 entries, so together they hold at most twice the cap.  A product or sum
 computed again is the same interned object.  The memo is read first; a
 product or sum with ZERO or ONE is taken on a miss and never memoized.
+Each value holds its negative and its inverse once they are built, linked
+both ways since both maps are involutions, so a second `-x` or `x.inv()`
+(which `y / x` takes) of a value, or either map of its image, reads an
+attribute and builds nothing.
 
 Beside the exact field sits one fixed point mod the prime p = 2^31 - 1:
 `at_point` evaluates a Scalar there, and `EchelonModP` runs the one
@@ -418,9 +422,10 @@ class Scalar:
     monomial factors, positive-led and coprime to num.  Rational constants
     have num and den in {(): c}; Laurent polynomials, such as every
     coefficient of a Whittaker module, have den == 1.  There is one object
-    per value, so `==` is `is`."""
+    per value, so `==` is `is`, and it holds its negative `_neg` and
+    inverse `_inv` (None until built; ZERO never gets an inverse)."""
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "den", "_neg", "_inv")
 
     def __new__(cls, num: Poly, den: Poly, _reduced: bool = False):
         if not _reduced:
@@ -436,6 +441,7 @@ class Scalar:
             s = _INTERN[key] = object.__new__(cls)
             s.num = num
             s.den = den
+            s._neg = s._inv = None
         return s
 
     def __reduce__(self):
@@ -513,7 +519,11 @@ class Scalar:
         return self + (-other)
 
     def __neg__(self) -> "Scalar":
-        return Scalar(_pneg(self.num), self.den, _reduced=True)
+        out = self._neg
+        if out is None:
+            out = self._neg = Scalar(_pneg(self.num), self.den, _reduced=True)
+            out._neg = self
+        return out
 
     def __mul__(self, other: "Scalar") -> "Scalar":
         key = (self, other)
@@ -548,14 +558,16 @@ class Scalar:
         return Scalar(num, den, _reduced=True)
 
     def __truediv__(self, other: "Scalar") -> "Scalar":
-        if other is _S_ZERO:
-            raise ZeroDivisionError("zero divisor")
-        return self * Scalar(other.den, other.num)
+        return self * other.inv()
 
     def inv(self) -> "Scalar":
-        if self is _S_ZERO:
-            raise ZeroDivisionError("zero divisor")
-        return Scalar(self.den, self.num)
+        out = self._inv
+        if out is None:
+            if self is _S_ZERO:
+                raise ZeroDivisionError("zero divisor")
+            out = self._inv = Scalar(self.den, self.num)
+            out._inv = self
+        return out
 
     # -- comparison / hashing / display
 

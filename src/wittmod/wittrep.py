@@ -89,16 +89,17 @@ def _tensor(out: FPMVector, P: WeylModule, pidx: Tuple,
     basis vector pidx.  Every map on P (x) M (Witt action, pi_k, torsion
     closed form) is one.
 
-    One loop for Scalar coefficients and, on P and M at the point, int ones:
-    the image of p is the tensor product of P's memoized per-factor words,
-    as in `WeylModule.act_index` (with its plus-mode guard), its terms
-    started at c, and each term times each w entry goes into out at once.
-    A one-term word (every word of a weight factor) extends a lone term in
-    place.  A word, w entry or c of 1 (always ONE) costs no product.  A
-    zero c adds nothing; otherwise a product of a word coefficient, a w
-    entry and c is nonzero (on P and M at the point too: their words and
-    entries are nonzero ints, and products are not reduced mod p), so only
-    a sum is tested for zero."""
+    One loop for Scalar coefficients and, on P and M at the point, int
+    ones: the image of p is the tensor product of P's memoized per-factor
+    words, as in `WeylModule.act_index` (with its plus-mode guard), started
+    at c, and each term times each w entry goes into out at once.  While
+    every word so far has one term (every word of a weight factor does),
+    the product is one (head, coefficient) pair; a term list opens only at
+    the first word of several terms or none.  A word, w entry or c of 1
+    (always ONE) costs no product.  A zero c adds nothing; otherwise a
+    product of a word coefficient, a w entry and c is nonzero (on P and M
+    at the point too: their words and entries are nonzero ints, and
+    products are not reduced mod p), so only a sum is tested for zero."""
     if not c:
         return out
     words = P._words
@@ -108,24 +109,27 @@ def _tensor(out: FPMVector, P: WeylModule, pidx: Tuple,
             continue
         if plus and min(a) < 0:
             raise ValueError("negative exponent %r in plus mode" % (a,))
-        terms = [((), c)]
+        head, c1 = (), c
+        terms = None
         for pos, (a_pos, k) in enumerate(zip(a, pidx)):
             key = (pos, a_pos, pos + 1 == j, k)
             word = words.get(key)
             if word is None:
                 word = P._word(key)
-            if len(word) == 1 and len(terms) == 1:
-                (k2, c2), = word
-                (head, c1), = terms
-                terms[0] = (head + (k2,), c2 if c1 is ONE
-                            else c1 if c2 is ONE else c1 * c2)
-                continue
+            if terms is None:
+                if len(word) == 1:
+                    (k2, c2), = word
+                    head += (k2,)
+                    if c2 is not ONE:
+                        c1 = c2 if c1 is ONE else c1 * c2
+                    continue
+                terms = [(head, c1)]
             terms = [(head + (k2,),
                       c2 if c1 is ONE else c1 if c2 is ONE else c1 * c2)
                      for head, c1 in terms for k2, c2 in word]
             if not terms:
                 break
-        for q, cp in terms:
+        for q, cp in ((head, c1),) if terms is None else terms:
             for m, cm in w.items():
                 x = cp if cm is ONE else cm if cp is ONE else cp * cm
                 cell = (q, m)

@@ -500,6 +500,65 @@ def test_copies_and_pickles_keep_the_one_object():
         assert pickle.loads(pickle.dumps(x)) is x
 
 
+# -- each value holds its negative and inverse once they are built
+
+def _fresh_values(k):
+    # a constant, a Laurent polynomial and a rational function that only
+    # the test passing k builds, so neither link is set yet
+    return [Scalar.rational(1000 + k, 1009), L1 * L1 * L2 - S(1000 + k) / L2,
+            (L1 + S(2000 + k)) / (L1 * L2 - S(3000 + k))]
+
+
+def test_scalar_links_are_involutions():
+    for x in _fresh_values(1):
+        assert x._neg is None and x._inv is None
+        assert -(-x) is x and x.inv().inv() is x
+        assert x._neg is -x and (-x)._neg is x
+        assert x._inv is x.inv() and x.inv()._inv is x
+        assert x + -x is S(0) and x * x.inv() is ONE
+    assert -S(0) is S(0) and ONE.inv() is ONE and (-ONE).inv() is -ONE
+
+
+def test_scalar_links_build_nothing_on_second_use(monkeypatch):
+    calls = []
+
+    def spy(fn):
+        def wrapped(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
+        return wrapped
+    monkeypatch.setattr(exactnum, "_pneg", spy(exactnum._pneg))
+    monkeypatch.setattr(exactnum, "_reduce", spy(exactnum._reduce))
+    for x in _fresh_values(2):
+        calls.clear()
+        neg, inv = -x, x.inv()
+        assert "_pneg" in calls and "_reduce" in calls
+        calls.clear()
+        assert -x is neg and x.inv() is inv
+        assert -neg is x and inv.inv() is x
+        assert calls == []
+
+
+def test_scalar_links_zero_has_no_inverse():
+    zero = S(0)
+    for _ in range(2):
+        with pytest.raises(ZeroDivisionError, match="zero divisor"):
+            zero.inv()
+        assert zero._inv is None
+
+
+def test_scalar_links_survive_copies_and_pickles():
+    for x in _fresh_values(3):
+        neg, inv = -x, x.inv()
+        for y in (x, neg, inv):
+            assert copy.copy(y) is y and copy.deepcopy(y) is y
+            assert pickle.loads(pickle.dumps(y)) is y
+        back = pickle.loads(pickle.dumps([x, neg, inv]))
+        assert back == [x, neg, inv]
+        assert back[0]._neg is neg and back[0]._inv is inv
+        assert neg._neg is x and inv._inv is x
+
+
 def test_at_point_evaluates_canonical_forms():
     p, a, b = MOD_P, point_value("l1"), point_value("l2")
     # a true polynomial denominator, a Laurent polynomial, a rational

@@ -80,6 +80,47 @@ def test_tensor_keeps_the_plus_mode_guard():
     assert _tensor({}, apoly(2), (1, 0), [((-1, 0), 1, {})]) == {}
 
 
+def _word_lengths(P, pidx, alpha, j):
+    # the number of terms of each factor's word of t^alpha d_j on pidx
+    keys = [(pos, a, pos + 1 == j, k)
+            for pos, (a, k) in enumerate(zip(alpha, pidx))]
+    return tuple(len(P._words.get(key) or P._word(key)) for key in keys)
+
+
+@pytest.mark.parametrize("p_expr", [
+    "Tensor(Apoly,Whittaker(l2))", "Tensor(Whittaker(l1),Apoly)",
+    "Whittaker(l1,l2)", "Apoly"])
+def test_tensor_one_term_words_match_act_index(p_expr):
+    # _tensor carries a product of one-term words as one pair and opens a
+    # term list at the first word of several terms or none: the image is
+    # act_index's tensored with the M-vector and scaled by c, for c = ONE
+    # and c != 1, with ONE and other M entries, t^alpha with and without d
+    P = parse_p(p_expr, 2)
+    w = {0: ONE, 2: S(-3) * L2}
+    met = set()
+    for c in (ONE, S(2, 3) * L1):
+        for alpha, j in operators(2, 2, P.mode):
+            for pidx in P.window_basis(2):
+                for jj in (j, None):
+                    want = {}
+                    for q, cp in P.act_index(pidx, alpha, jj).items():
+                        vec_axpy(want, [((q, m), cp * cm)
+                                        for m, cm in w.items()], c)
+                    got = _tensor({}, P, pidx, [(alpha, jj, w)], c)
+                    assert got == want and list(got) == list(want)
+                    met.add(_word_lengths(P, pidx, alpha, jj))
+    # a one-term prefix meets a multi-term word, or a multi-term prefix a
+    # one-term word; on Apoly a one-term prefix meets the empty word of d_2
+    # on t^0
+    if p_expr.startswith("Tensor(Apoly"):
+        assert any(a == 1 and b > 1 for a, b in met)
+    if p_expr.startswith("Tensor(Whittaker"):
+        assert any(a > 1 and b == 1 for a, b in met)
+    if p_expr == "Apoly":
+        assert (1, 0) in met
+        assert _tensor({}, P, (1, 0), [((1, 0), 2, w)]) == {}
+
+
 def test_pi_map_and_torsion_expected_leave_no_zero_entry():
     # _tensor tests only sums for zero and skips a zero coefficient once:
     # an explicit zero adds nothing, and parts that cancel leave no entry
