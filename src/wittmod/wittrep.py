@@ -152,8 +152,11 @@ class FPModule:
     actions on basis cells are memoized in one column table per operator,
     `column(alpha, j)`, mapping a cell to its image ({} when it is 0), so
     repeated operator sweeps over a window pay for each (operator, cell)
-    pair once.  `act_cell` is the only place an image is built; a sweep
-    fetches an operator's table once and calls `act_cell` only on a miss.
+    pair once.  `act_cell` is the only place an image is built.
+    `FPModule.act` fetches an operator's table once and calls `act_cell`
+    only on a miss; the action-axiom sweep takes every image it needs
+    through `act_cell` up front, re-keys it by integer cell ids into tables
+    of its own and drops the operator's column table.
     """
 
     def __init__(self, P: WeylModule, M: GlModule):
@@ -248,7 +251,9 @@ def _apply(F: FPModule, table: Dict[Cell, FPMVector], alpha: MultiIndex,
     """out += c * t^alpha d_j cell for each (out, cell, c) in `items`, in
     place: the one compose loop of `FPModule.act` and the action-axiom
     sweep, one call feeding any number of destinations.  Images come from
-    the operator's column table `table`, misses from `F.act_cell`.  A zero
+    `table`: the operator's column table, misses from `F.act_cell`, or one
+    of the sweep's tables keyed by integer cell ids, filled before its pair
+    loop so that no lookup misses (the items then carry ids).  A zero
     coefficient is skipped once, a ONE costs no product, and since images
     hold no zero entry, only a sum is tested for zero."""
     for out, cell, c in items:
@@ -879,32 +884,67 @@ def check_action_axiom(F: FPModule, bound: int, D: int) -> Tuple[bool, int, str]
 
     A pair is checked on the whole window at once: the two sides are one
     dict per window cell, and each `_apply` call (one per bracket term, one
-    for y(xv), one for x(yv)) feeds every cell's dict."""
+    for y(xv), one for x(yv)) feeds every cell's dict.  The sweep numbers
+    every cell it meets and builds each image once, through `act_cell`,
+    into id-keyed tables filled before the pair loop: each operator's
+    images of the window cells and of every cell those images reach, and
+    each bracket term's images of the window cells.  F's column table of
+    an operator is dropped as soon as its images are re-keyed."""
     ops = operators(F.n, bound, F.mode)
     cells = F.window_basis(D)
-    tables = [F.column(a, j) for a, j in ops]
+    # cell -> id: the window cells take ids 0..N-1 in window order, so the
+    # first differing cell of a pair, its count and its note are those of
+    # the window; every other cell takes the next id when first met
+    ids: Dict[Cell, int] = {cell: i for i, cell in enumerate(cells)}
+    # (alpha, j) -> id -> image, keyed by ids
+    tables: Dict[Tuple[MultiIndex, int], Dict[int, FPMVector]] = {}
+
+    # op's images of the (id, cell) pairs of todo, re-keyed into its table
+    def build(op: Tuple[MultiIndex, int],
+              todo: Iterable[Tuple[int, Cell]]) -> None:
+        table = tables.setdefault(op, {})
+        for i, cell in todo:
+            img = table[i] = {}
+            for d, x in F.act_cell(op[0], op[1], cell).items():
+                k = ids.get(d)
+                if k is None:
+                    k = ids[d] = len(ids)
+                img[k] = x
+        F._columns.pop(op, None)
+
+    for op in ops:
+        build(op, enumerate(cells))
+    reached = list(enumerate(ids))[len(cells):]
+    for op in ops:
+        build(op, reached)
+    brackets = [monomial_bracket(F.n, F.mode, x, y)
+                for x, y in itertools.combinations(ops, 2)]
+    for alpha, j, _ in itertools.chain.from_iterable(brackets):
+        if (alpha, j) not in tables:
+            build((alpha, j), enumerate(cells))
+    window = range(len(cells))
     # the two sides of the current pair on each window cell, reused
     lhs: List[FPMVector] = [{} for _ in cells]
     rhs: List[FPMVector] = [{} for _ in cells]
     # each operator's images of the window cells, as items into lhs and rhs
     into_lhs, into_rhs = [], []
-    for a, j in ops:
-        images = [F.act_cell(a, j, cell) for cell in cells]
+    for op in ops:
+        table = tables[op]
         for side, into in ((lhs, into_lhs), (rhs, into_rhs)):
-            into.append([(out, d, x) for out, img in zip(side, images)
-                         for d, x in img.items()])
+            into.append([(out, d, x) for out, i in zip(side, window)
+                         for d, x in table[i].items()])
     checked = 0
+    pair_brackets = iter(brackets)
     for ai, (xa, xj) in enumerate(ops):
         for bi in range(ai + 1, len(ops)):
             ya, yj = ops[bi]
             for out in itertools.chain(lhs, rhs):
                 out.clear()
-            for alpha, j, c in monomial_bracket(F.n, F.mode, ops[ai],
-                                                ops[bi]):
-                _apply(F, F.column(alpha, j), alpha, j,
-                       zip(lhs, cells, itertools.repeat(c)))
-            _apply(F, tables[bi], ya, yj, into_lhs[ai])
-            _apply(F, tables[ai], xa, xj, into_rhs[bi])
+            for alpha, j, c in next(pair_brackets):
+                _apply(F, tables[(alpha, j)], alpha, j,
+                       zip(lhs, window, itertools.repeat(c)))
+            _apply(F, tables[ops[bi]], ya, yj, into_lhs[ai])
+            _apply(F, tables[ops[ai]], xa, xj, into_rhs[bi])
             if lhs != rhs:
                 i = next(i for i, (l, r) in enumerate(zip(lhs, rhs)) if l != r)
                 return (False, checked + i + 1,

@@ -418,6 +418,53 @@ def test_action_axiom_names_the_first_failing_cell_of_a_pair(monkeypatch):
     assert got[1] % len(cells) == bad[0] + 1
 
 
+def test_action_axiom_fails_on_a_wrong_bracket_only_action(monkeypatch):
+    # t^(2,1) d_1 has |alpha| = 3 > 2, so it is in no pair and enters the
+    # sweep only as a bracket term on window cells; it loses its matrix part
+    # on level-1 cells, and the sweep's bracket tables must see that
+    act_cell = FPModule.act_cell
+    D = 2
+
+    def broken(self, alpha, j, cell):
+        if (tuple(alpha), j) == ((2, 1), 1) and self.level(cell) == 1:
+            return _tensor({}, self.P, cell[0], [((2, 1), 1, {cell[1]: ONE})])
+        return act_cell(self, alpha, j, cell)
+
+    monkeypatch.setattr(FPModule, "act_cell", broken)
+    F = FPModule(apoly(2), natural_module(2))
+    assert ((2, 1), 1) not in operators(2, 2, PLUS)
+    assert any(term[:2] == ((2, 1), 1)
+               for x, y in itertools.combinations(operators(2, 2, PLUS), 2)
+               for term in wittrep.monomial_bracket(2, PLUS, x, y))
+    got = check_action_axiom(F, 2, D)
+    assert not got[0]
+    assert got == _axiom_reference(FPModule(apoly(2), natural_module(2)), 2, D)
+
+
+@pytest.mark.parametrize("p_expr, M, A, D", [
+    ("Apoly", sym_power(2, 2), 2, 2),
+    ("Whittaker(l1,l2)", natural_module(2), 1, 2),
+])
+def test_action_axiom_builds_each_image_once_and_drops_columns(
+        monkeypatch, p_expr, M, A, D):
+    # the sweep asks act_cell for each (operator, cell) image at most once,
+    # and F keeps no column table of an operator or bracket term after it
+    act_cell = FPModule.act_cell
+    calls = []
+
+    def spy(self, alpha, j, cell):
+        calls.append((tuple(alpha), j, cell))
+        return act_cell(self, alpha, j, cell)
+
+    monkeypatch.setattr(FPModule, "act_cell", spy)
+    F = FPModule(parse_p(p_expr, 2), M)
+    ok, checked, note = check_action_axiom(F, A, D)
+    assert (ok, note) == (True, "")
+    assert checked == _axiom_pairs(F, A, D)
+    assert calls and len(set(calls)) == len(calls)
+    assert F._columns == {}
+
+
 @pytest.mark.parametrize("n, A", [(2, 1), (2, 2), (2, 3), (3, 1)])
 def test_shen_suite_checks_every_pair(n, A):
     ok, checked, note = check_shen_tau(n, A, "plus")
