@@ -44,7 +44,7 @@ from .weylmod import (
     twisted_laurent, whittaker,
 )
 from .wittrep import (
-    FPModule, check_action_axiom, check_chain_map, check_shen_tau,
+    FPModule, Verdict, check_action_axiom, check_chain_map, check_shen_tau,
     check_torsion, complex_homology, fingerprint, irreducibility_report,
     weight_support,
 )
@@ -317,19 +317,20 @@ def parse_spec(argv: Sequence[str]) -> JobSpec:
 
 
 # ---------------------------------------------------------------------------
-# command bodies: each returns (verdict, certified, details, ok)
+# command bodies: each returns a wittrep.Verdict
 # ---------------------------------------------------------------------------
 
 def _run_verify_shen(spec, P, M):
     bound = spec.gen_bound
     ok, checked, note = check_shen_tau(spec.n, bound, spec.mode)
     if not ok:
-        return "embedding does not respect brackets", False, [note], False
+        return Verdict("embedding does not respect brackets", False, {}, [note])
     how = ("exhaustive |alpha| <= %d" % bound if spec.mode == PLUS
            else "randomized two-sided exponents in [-%d, %d]" % (bound, bound))
     details = ["%d monomial pairs checked (%s)" % (checked, how),
                "tau[x,y] = [tau x, tau y] exactly in every case"]
-    return "embedding respects brackets", True, details, True
+    return Verdict("embedding respects brackets", True,
+                   {"monomial pairs": checked}, details)
 
 
 def _run_verify_axioms(spec, P, M):
@@ -339,16 +340,15 @@ def _run_verify_axioms(spec, P, M):
     details = ["action axiom on %s: %d operator pairs checked"
                % (F.name, pairs)]
     if not ok1:
-        return "action axiom fails", False, details + [note1], False
+        return Verdict("action axiom fails", False, {}, details + [note1])
     ok2, checked, note2 = check_chain_map(P, bound, spec.window)
     details.append("chain maps over %s: %d intertwining and composite "
                    "checks" % (P.kind, checked))
     if not ok2:
-        return "chain-map identity fails", False, details + [note2], False
-    if not (pairs and checked):
-        details.append("a suite that checked no case certifies nothing")
-        return "not certified", False, details, False
-    return "module axioms hold on the window", True, details, True
+        return Verdict("chain-map identity fails", False, {}, details + [note2])
+    return Verdict("module axioms hold on the window", True,
+                   {"operator pairs": pairs, "chain-map checks": checked},
+                   details)
 
 
 def _run_complex(spec, P, M):
@@ -362,23 +362,12 @@ def _run_complex(spec, P, M):
     if h.excluded:
         details.append("%d graded pieces excluded at the window edge"
                        % h.excluded)
-    if not h.table:
-        # every piece was excluded, so nothing was computed to vanish
-        details.append("no graded piece lies inside the window, so no"
-                       " dimension was computed")
-        return "homology undetermined on the window", False, details, False
     nz = h.nonzero()
     verdict = ("homology vanishes on the window" if not nz
                else "nonzero homology at %d position%s"
                % (len(nz), "" if len(nz) == 1 else "s"))
-    return verdict, True, details, True
-
-
-def _run_irreducible(spec, P, M):
-    rep = irreducibility_report(P, M, spec.window, spec.gen_bound)
-    ok = rep.certified or rep.verdict == "skipped"
-    details = ["branch: %s" % rep.branch] + list(rep.details)
-    return rep.verdict, rep.certified, details, ok
+    return Verdict(verdict, True, {"computed homology pieces": len(h.table)},
+                   details)
 
 
 def _run_support(spec, P, M):
@@ -387,15 +376,15 @@ def _run_support(spec, P, M):
     except ValueError as exc:
         raise UsageError("%s: P=%s, M=%s" % (exc, spec.p_expr, spec.m_expr))
     shown = sorted("(%s)" % ", ".join(str(x) for x in w) for w in sup)
-    return ("%d distinct weights on the window" % len(sup), True,
-            shown, True)
+    return Verdict("%d distinct weights on the window" % len(sup), True,
+                   {"distinct weights": len(sup)}, shown)
 
 
 def _run_fingerprint(spec, P, M):
     fp = fingerprint(P, M, spec.window)
-    details = ["kind: %s" % fp.kind]
-    details.extend("%s: %d" % (label, mult) for label, mult in fp.entries)
-    return "fingerprint with %d entries" % len(fp.entries), True, details, True
+    return Verdict("fingerprint with %d entries" % len(fp.entries), True,
+                   {"window cells": sum(mult for _, mult in fp.entries)},
+                   ["kind: %s" % fp.kind] + ["%s: %d" % e for e in fp.entries])
 
 
 def _run_torsion(spec, P, M):
@@ -403,23 +392,21 @@ def _run_torsion(spec, P, M):
     bound = min(spec.gen_bound, 3)
     ok, checked, note = check_torsion(F, spec.window, bound)
     if not ok:
-        return ("torsion operator deviates from its closed form", False,
-                [note], False)
-    if not checked:
-        return ("not certified", False,
-                ["0 inputs examined: the window of %s has no cell" % F.name],
-                False)
+        return Verdict("torsion operator deviates from its closed form",
+                       False, {}, [note])
     details = ["%d randomized inputs on %s, exponents bounded by %d"
                % (checked, F.name, bound),
                "interpolated operator matches its closed form in every case"]
-    return "torsion identity holds on all samples", True, details, True
+    return Verdict("torsion identity holds on all samples", True,
+                   {"inputs": checked}, details)
 
 
 _BODIES = {
     "verify-shen": _run_verify_shen,
     "verify-axioms": _run_verify_axioms,
     "complex": _run_complex,
-    "irreducible": _run_irreducible,
+    "irreducible": lambda spec, P, M: irreducibility_report(
+        P, M, spec.window, spec.gen_bound),
     "support": _run_support,
     "fingerprint": _run_fingerprint,
     "torsion": _run_torsion,
@@ -434,20 +421,24 @@ _PARSER = _build_parser()
 
 
 def run(spec: JobSpec) -> Tuple[Report, int]:
-    """Execute a job; returns the report and the process exit code."""
+    """Execute a job; returns the report and the process exit code: 0 when
+    the verdict is certified or none was attempted ("skipped"), else 1."""
     P = None if spec.command in _IGNORES_P else parse_p(spec.p_expr, spec.n)
     M = None if spec.command in _IGNORES_M else parse_m(spec.m_expr, spec.n)
     if P is not None and spec.mode == PLUS:
         P.mode = PLUS  # a two-sided P restricted to W_n^+
     start = time.monotonic()
     try:
-        verdict, certified, details, ok = _BODIES[spec.command](spec, P, M)
+        rec = _BODIES[spec.command](spec, P, M)
     except UsageError:
         raise
     except ValueError as exc:  # library precondition -> usage error
         raise UsageError(str(exc))
     elapsed = int((time.monotonic() - start) * 1000)
-    return Report(spec, verdict, certified, details, elapsed), 0 if ok else 1
+    branch = [] if rec.branch is None else ["branch: %s" % rec.branch]
+    report = Report(spec, rec.verdict, rec.certified, branch + rec.details,
+                    elapsed)
+    return report, 0 if rec.certified or rec.verdict == "skipped" else 1
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

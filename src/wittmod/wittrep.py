@@ -11,8 +11,8 @@ only when enumerating bases for rank and membership questions.
 Provided machinery: the de Rham-style chain maps pi_k between the
 F(P, Ext(k)), the image and transporter subspaces they cut out of a window,
 the quadratic-interpolation torsion operator, fixed-point submodule
-closures, windowed homology tables, irreducibility reports, weight
-supports, and coarse isomorphism fingerprints.
+closures, windowed homology tables, verdict records (irreducibility
+reports among them), weight supports, and coarse isomorphism fingerprints.
 """
 
 from __future__ import annotations
@@ -685,15 +685,39 @@ def fingerprint(P: WeylModule, M: GlModule, D: int) -> Fingerprint:
 
 
 # ---------------------------------------------------------------------------
-# irreducibility reports
+# verdicts and irreducibility reports
 # ---------------------------------------------------------------------------
 
-@dataclass
-class IrreducibilityReport:
-    verdict: str
-    certified: bool
-    branch: str
-    details: List[str]
+@dataclass(frozen=True)
+class Verdict:
+    """A check's claim, whether it was established, the named counts of what
+    it examined (each stated in `notes`) and, for an irreducibility report,
+    the branch.  `certified` is derived and set nowhere else: established
+    and every count positive.  An established claim with a zero count reads
+    "not certified", with one line naming the empty counts."""
+
+    claim: str
+    established: bool
+    counts: Dict[str, int]
+    notes: List[str]
+    branch: Optional[str] = None
+
+    @property
+    def certified(self) -> bool:
+        return self.established and all(k > 0 for k in self.counts.values())
+
+    @property
+    def verdict(self) -> str:
+        unfounded = self.established and not self.certified
+        return "not certified" if unfounded else self.claim
+
+    @property
+    def details(self) -> List[str]:
+        empty = [name for name, k in self.counts.items() if k <= 0]
+        if not self.established or not empty:
+            return self.notes
+        return self.notes + ["'%s' rests on 0 %s, so it certifies nothing"
+                             % (self.claim, " and 0 ".join(empty))]
 
 
 def saturation_seeds(F: FPModule) -> List[FPMVector]:
@@ -702,7 +726,7 @@ def saturation_seeds(F: FPModule) -> List[FPMVector]:
 
 
 def _saturation_report(F: FPModule, D: int, A: int,
-                       details: List[str]) -> IrreducibilityReport:
+                       details: List[str]) -> Verdict:
     """Certified when every level-<=1 seed generates the window.
 
     One loop closes the seeds in order, each with the seeds certified
@@ -749,63 +773,38 @@ def _saturation_report(F: FPModule, D: int, A: int,
     """
     full = len(F.window_basis(D))
     seeds = saturation_seeds(F)
-    if not seeds:
-        details.append("no window cell lies at level <= 1, so there is no"
-                       " seed to close")
-        return IrreducibilityReport("not certified", False, "saturation",
-                                    details)
     try:
         view: Optional[_AtPoint] = _AtPoint(F)
     except ZeroDivisionError:
         view = None
-    # a seed whose closure reaches a certified seed generates the window too
-    certified: List[FPMVector] = []
-    certified_at: List[Dict[Cell, int]] = []  # the same seeds at the point
+    # a seed whose closure reaches a generating seed generates the window too
+    generating: List[FPMVector] = []
+    generating_at: List[Dict[Cell, int]] = []  # the same seeds at the point
     for seed in seeds:
         if view is not None:
             s = {c: at_point(x) for c, x in seed.items()}
-            if submodule_closure(view, [s], D, A, certified_at).dim == full:
-                certified.append(seed)
-                certified_at.append(s)
+            if submodule_closure(view, [s], D, A, generating_at).dim == full:
+                generating.append(seed)
+                generating_at.append(s)
                 continue
             view = None
-        sub = submodule_closure(F, [seed], D, A, generators=certified)
+        sub = submodule_closure(F, [seed], D, A, generators=generating)
         if sub.dim < full:
             cell = next(iter(seed))
             details.append(
                 "seed %s generated only %d of %d window dimensions"
                 % (F.label(cell), sub.dim, full))
-            return IrreducibilityReport("not certified", False,
-                                        "saturation", details)
-        certified.append(seed)
+            return Verdict("not certified", False, {}, details, "saturation")
+        generating.append(seed)
     details.append("all %d level-<=1 seeds generate the full %d-dimensional"
                    " window" % (len(seeds), full))
-    return IrreducibilityReport(
+    return Verdict(
         "consistent with irreducible: certified saturation at (D=%d, A=%d)"
-        % (D, A), True, "saturation", details)
-
-
-def _quotient_trivial(lw: WindowedSubspace, D: int,
-                      ops: Sequence[Tuple[MultiIndex, int]],
-                      details: List[str]) -> bool:
-    """Check every operator of `ops` maps the top-wedge window D into the
-    image subspace `lw`, taken at a window deep enough to hold the
-    images."""
-    F = lw.F
-    for cell in F.window_basis(D):
-        for alpha, j in ops:
-            img = F.act_cell(tuple(alpha), j, cell)
-            if img and not lw.contains(img):
-                details.append("operator t^%s d_%d moves %s outside the"
-                               " image subspace" % (alpha, j, F.label(cell)))
-                return False
-    details.append("all %d operators map the window into the image"
-                   " subspace" % len(ops))
-    return True
+        % (D, A), True, {"seeds": len(seeds)}, details, "saturation")
 
 
 def irreducibility_report(P: WeylModule, M: GlModule, D: int,
-                          A: int) -> IrreducibilityReport:
+                          A: int) -> Verdict:
     """Windowed verdict on F(P, M), branching on the shape of M.
 
     Reducible M: skipped.  M not a fundamental exterior power: saturation
@@ -820,22 +819,23 @@ def irreducibility_report(P: WeylModule, M: GlModule, D: int,
     details: List[str] = []
     weight = highest_weight(M)
     if weight is None:
-        return IrreducibilityReport(
-            "skipped", False, "m-reducible",
+        return Verdict(
+            "skipped", False, {},
             ["M = %s is a reducible gl-module; no verdict attempted"
-             % M.name])
+             % M.name], "m-reducible")
     r = exterior_degree(M, weight)
     F = FPModule(P, M)
     if r is None:
         return _saturation_report(F, D, A, details)
+    full = len(F.window_basis(D))
     if r == 0:
         if P.is_natural():
             sub = submodule_closure(F, [{((0,) * n, 0): ONE}], D, A)
             details.append("closure of the constant line has dimension %d"
                            % sub.dim)
-            return IrreducibilityReport("reducible",
-                                        sub.dim < len(F.window_basis(D)),
-                                        "degree-zero", details)
+            return Verdict("reducible", sub.dim < full,
+                           {"closure dimensions": sub.dim}, details,
+                           "degree-zero")
         details.append("P is not the natural module; running saturation")
         return _saturation_report(F, D, A, details)
     if r == n:
@@ -844,32 +844,39 @@ def irreducibility_report(P: WeylModule, M: GlModule, D: int,
         # level <= D, the one P.sum_partial_image_codim eliminates on its
         # own; a residue cell at level exactly D (t1^-1...tn^-1 in
         # Alaurent(n) or Quot(n) at D = n) is seen.
-        # The quotient check needs the image window deepened by the largest
-        # raise bound; both windows come from one elimination, the deep one
-        # built only when the codimension is positive.
+        # The quotient is trivial when every operator maps the window into
+        # the image window deepened by the largest raise bound; both windows
+        # come from one elimination, the deep one built only when the
+        # codimension is positive.
         ops = operators(n, A, P.mode)
         maxraise = max(max(0, P.op_raise_bound(a, j)) for a, j in ops)
         windows = l_windows(P, n, (D, D + maxraise))
         _, lw = next(windows)
-        codim = len(P.window_basis(D)) - lw.dim
+        codim = full - lw.dim
         details.append("summed derivative image has codimension %d in the"
                        " window" % codim)
         if codim == 0:
             return _saturation_report(F, D, A, details)
         deep = next(windows, (D, lw))[1]
-        trivial = _quotient_trivial(deep, D, ops, details)
-        details.append("image subspace dimension %d of %d"
-                       % (lw.dim, len(F.window_basis(D))))
-        return IrreducibilityReport("reducible", trivial,
-                                    "top-degree", details)
+        moved = next(((a, j, c) for c in F.window_basis(D) for a, j in ops
+                      if not deep.contains(F.act_cell(a, j, c))), None)
+        if moved is None:
+            details.append("all %d operators map the window into the image"
+                           " subspace" % len(ops))
+        else:
+            a, j, cell = moved
+            details.append("operator t^%s d_%d moves %s outside the image"
+                           " subspace" % (a, j, F.label(cell)))
+        details.append("image subspace dimension %d of %d" % (lw.dim, full))
+        return Verdict("reducible", moved is None, {"window cells": full},
+                       details, "top-degree")
     lw = l_window(P, r, D)
-    full = len(F.window_basis(D))
     invariant = interior_invariant(lw, A)
-    ok = 0 < lw.dim < full and invariant
     details.append("image subspace: dimension %d of %d, nonzero=%s,"
                    " proper=%s, interior-invariant=%s"
                    % (lw.dim, full, lw.dim > 0, lw.dim < full, invariant))
-    return IrreducibilityReport("reducible", ok, "exterior-witness", details)
+    return Verdict("reducible", lw.dim < full and invariant,
+                   {"image-window rows": lw.dim}, details, "exterior-witness")
 
 
 # ---------------------------------------------------------------------------

@@ -267,8 +267,11 @@ def test_complex_without_computed_pieces_is_not_certified(capsys):
     rep, code = run(spec_of("complex", "--n", "3", "--P", "Alaurent",
                             "--window", "2"))
     assert code == 1 and not rep.certified
-    assert rep.verdict == "homology undetermined on the window"
-    assert "80 graded pieces excluded at the window edge" in rep.details
+    assert rep.verdict == "not certified"
+    assert rep.details == [
+        "80 graded pieces excluded at the window edge",
+        "'homology vanishes on the window' rests on 0 computed homology"
+        " pieces, so it certifies nothing"]
     assert main(["complex", "--n", "3", "--P", "Alaurent",
                  "--window", "2"]) == 1
     assert "[certified]" not in capsys.readouterr().out
@@ -287,9 +290,11 @@ def test_verify_axioms_without_cases_is_not_certified(capsys):
     rep, code = run(parse_spec(argv))
     assert code == 1 and not rep.certified
     assert rep.verdict == "not certified"
-    assert rep.details[:2] == [
+    assert rep.details == [
         "action axiom on F(Quot, Nat): 0 operator pairs checked",
-        "chain maps over Quot: 0 intertwining and composite checks"]
+        "chain maps over Quot: 0 intertwining and composite checks",
+        "'module axioms hold on the window' rests on 0 operator pairs and"
+        " 0 chain-map checks, so it certifies nothing"]
     assert main(argv) == 1
     assert "[certified]" not in capsys.readouterr().out
     # one level further both suites check cases and certify
@@ -305,7 +310,36 @@ def test_torsion_on_an_empty_window_is_not_certified(capsys):
     assert code == 1 and not rep.certified
     assert rep.verdict == "not certified"
     assert rep.details == [
-        "0 inputs examined: the window of F(Quot, Nat) has no cell"]
+        "0 randomized inputs on F(Quot, Nat), exponents bounded by 1",
+        "interpolated operator matches its closed form in every case",
+        "'torsion identity holds on all samples' rests on 0 inputs, so it"
+        " certifies nothing"]
+    assert main(argv) == 1
+    assert "[certified]" not in capsys.readouterr().out
+
+
+def test_support_on_an_empty_window_is_not_certified(capsys):
+    # the lowest cell of Quot(2) has level 2: no weight to report at D = 1
+    argv = ["support", "--P", "Quot", "--window", "1"]
+    rep, code = run(parse_spec(argv))
+    assert code == 1 and not rep.certified
+    assert rep.verdict == "not certified"
+    assert rep.details == [
+        "'0 distinct weights on the window' rests on 0 distinct weights, so"
+        " it certifies nothing"]
+    assert main(argv) == 1
+    assert "[certified]" not in capsys.readouterr().out
+
+
+def test_fingerprint_on_an_empty_window_is_not_certified(capsys):
+    argv = ["fingerprint", "--P", "Quot", "--M", "Nat", "--window", "1"]
+    rep, code = run(parse_spec(argv))
+    assert code == 1 and not rep.certified
+    assert rep.verdict == "not certified"
+    assert rep.details == [
+        "kind: weight",
+        "'fingerprint with 0 entries' rests on 0 window cells, so it"
+        " certifies nothing"]
     assert main(argv) == 1
     assert "[certified]" not in capsys.readouterr().out
 

@@ -73,6 +73,13 @@ DEEP_SATURATION = [
 
 ARGVS = README_EXAMPLES + WORKLOAD_JOBS + DEEP_SATURATION
 
+# jobs whose verdict is not certified: one with no verdict attempted (exit
+# 0) and one whose claim rests on an empty window (exit 1)
+UNCERTIFIED = [
+    "irreducible --P Apoly --M Nat*Nat --window 2",
+    "support --P Quot --window 1",
+]
+
 
 def _golden(argv: str) -> dict:
     report, code = cli.run(cli.parse_spec(shlex.split(argv)))
@@ -93,6 +100,12 @@ def test_every_job_is_recorded(recorded):
 @pytest.mark.parametrize("argv", ARGVS)
 def test_report_matches_recorded(recorded, argv):
     assert _golden(argv) == recorded[argv]
+
+
+@pytest.mark.parametrize("argv", ARGVS + UNCERTIFIED)
+def test_exit_code_follows_the_record(argv):
+    report, code = cli.run(cli.parse_spec(shlex.split(argv)))
+    assert (code == 0) == (report.certified or report.verdict == "skipped")
 
 
 if __name__ == "__main__":

@@ -1300,37 +1300,66 @@ def test_saturation_without_seeds_is_not_certified():
     rep = irreducibility_report(laurent_quot(2), sym_power(2, 2), 2, 3)
     assert (rep.verdict, rep.certified, rep.branch) == (
         "not certified", False, "saturation")
-    assert rep.details == ["no window cell lies at level <= 1, so there is"
-                           " no seed to close"]
+    assert rep.details == [
+        "all 0 level-<=1 seeds generate the full 3-dimensional window",
+        "'consistent with irreducible: certified saturation at (D=2, A=3)'"
+        " rests on 0 seeds, so it certifies nothing"]
     assert main(["irreducible", "--P", "Quot", "--M", "Sym(2)",
                  "--window", "2", "--gen-bound", "3"]) == 1
+
+
+@pytest.mark.parametrize("established, counts, empty", [
+    (True, {"pairs": 0}, "0 pairs"),
+    (True, {"pairs": 3, "checks": 0}, "0 checks"),
+    (True, {"pairs": 0, "checks": 0}, "0 pairs and 0 checks"),
+    (False, {"pairs": 3}, None),
+    (False, {"pairs": 0}, None),
+    (False, {}, None),
+])
+def test_a_record_without_evidence_or_claim_is_never_certified(
+        established, counts, empty):
+    rec = wittrep.Verdict("claim holds", established, counts, ["note"])
+    assert not rec.certified
+    if empty is None:
+        # a claim not established keeps its own text and notes
+        assert (rec.verdict, rec.details) == ("claim holds", ["note"])
+    else:
+        # the one shared rendering of a zero count
+        assert rec.verdict == "not certified"
+        assert rec.details == ["note", "'claim holds' rests on %s, so it"
+                               " certifies nothing" % empty]
+
+
+def test_a_record_certifies_an_established_claim_on_evidence():
+    rec = wittrep.Verdict("claim holds", True, {"pairs": 3, "checks": 1},
+                          ["note"], "saturation")
+    assert rec.certified and rec.verdict == "claim holds"
+    assert rec.details == ["note"] and rec.branch == "saturation"
+    # certified is derived: nothing can set it
+    with pytest.raises(AttributeError):
+        rec.certified = False
 
 
 def _saturation_reference(F, D, A, details):
     # the exact loop of _saturation_report before the route at a point
     full = len(F.window_basis(D))
     seeds = saturation_seeds(F)
-    if not seeds:
-        details.append("no window cell lies at level <= 1, so there is no"
-                       " seed to close")
-        return wittrep.IrreducibilityReport("not certified", False,
-                                            "saturation", details)
-    certified = []
+    generating = []
     for seed in seeds:
-        sub = submodule_closure(F, [seed], D, A, generators=certified)
+        sub = submodule_closure(F, [seed], D, A, generators=generating)
         if sub.dim < full:
             cell = next(iter(seed))
             details.append(
                 "seed %s generated only %d of %d window dimensions"
                 % (F.label(cell), sub.dim, full))
-            return wittrep.IrreducibilityReport("not certified", False,
-                                                "saturation", details)
-        certified.append(seed)
+            return wittrep.Verdict("not certified", False, {}, details,
+                                   "saturation")
+        generating.append(seed)
     details.append("all %d level-<=1 seeds generate the full %d-dimensional"
                    " window" % (len(seeds), full))
-    return wittrep.IrreducibilityReport(
+    return wittrep.Verdict(
         "consistent with irreducible: certified saturation at (D=%d, A=%d)"
-        % (D, A), True, "saturation", details)
+        % (D, A), True, {"seeds": len(seeds)}, details, "saturation")
 
 
 def _report_tuple(rep):
