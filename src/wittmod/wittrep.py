@@ -382,12 +382,23 @@ def submodule_closure(F: FPModule, seeds: Sequence[FPMVector], D: int, A: int,
 
     Fixed-point worklist over exact ranks; operators are swept in
     increasing |alpha| order and the loop exits as soon as the window
-    saturates, so the result is deterministic.  Each image is `F.act`'s,
-    cut to the set of window cells.  The work list holds the rows the
-    closure inserted (the last of `ech.rows` after a growing `add`), not
-    the raw images: any basis of the span gives the same fixed point, and
-    rows have no entry at an older lead, so on windows spanned by single
-    cells they are single cells where the images are dense.
+    saturates.  Each image is `F.act`'s, cut to the set of window cells.
+    The work list holds the rows the closure inserted (the last of
+    `ech.rows` after a growing `add`), not the raw images: any basis of the
+    span gives the same fixed point, and rows have no entry at an older
+    lead, so they are sparser than the images.
+
+    Rows are visited from the top of the window down: one stack per level,
+    each row pushed on the stack of its top level (the largest level of its
+    cells), and the loop pops the newest row of the highest nonempty level.
+    The cells the span still lacks lie mostly near the top of the window,
+    so the highest rows reach them first and fewer sweeps go to low rows
+    whose images the span already holds.  The order depends only on levels
+    and insertion order, never on hashes.  The result does not depend on
+    it: a run either fills (or reaches a generator) and returns the
+    identity echelon, or stops at the smallest subspace that holds the
+    seeds and is closed under the cut operators, whose reduced rows are
+    unique.
 
     `generators` are window vectors already known to generate the full
     window.  The closure of a set is the smallest closed subspace containing
@@ -406,25 +417,31 @@ def submodule_closure(F: FPModule, seeds: Sequence[FPMVector], D: int, A: int,
     inside = set(window)
     ops = operators(F.n, A, F.mode)
     ech = F.echelon()
-    work: List[FPMVector] = []
+    stacks: List[List[FPMVector]] = [[] for _ in range(D + 1)]
+
+    def push() -> None:
+        row = next(reversed(ech.rows.values()))
+        stacks[max(map(F.level, row))].append(row)
+
     for s in seeds:
         if any(F.level(c) > D for c in s):
             raise ValueError("seed outside window")
         if ech.add(s):
-            work.append(next(reversed(ech.rows.values())))
+            push()
 
     def saturated() -> bool:
         return ech.dim >= full or any(ech.contains(g) for g in generators)
 
     done = saturated()
-    qi = 0
-    while not done and qi < len(work):
-        v = work[qi]
-        qi += 1
+    while not done:
+        top = next((k for k in range(D, -1, -1) if stacks[k]), None)
+        if top is None:
+            break
+        v = stacks[top].pop()
         for alpha, j in ops:
             img = {c: x for c, x in F.act(alpha, j, v).items() if c in inside}
             if img and ech.add(img):
-                work.append(next(reversed(ech.rows.values())))
+                push()
                 done = saturated()
                 if done:
                     break
@@ -803,6 +820,14 @@ def _saturation_report(F: FPModule, D: int, A: int,
         % (D, A), True, {"seeds": len(seeds)}, details, "saturation")
 
 
+def _reducible(established: bool, counts: Dict[str, int],
+               details: List[str], branch: str) -> Verdict:
+    """A witness branch's verdict: "reducible" when its check holds, else
+    "not certified", as the saturation branch reads on a failed seed."""
+    return Verdict("reducible" if established else "not certified",
+                   established, counts, details, branch)
+
+
 def irreducibility_report(P: WeylModule, M: GlModule, D: int,
                           A: int) -> Verdict:
     """Windowed verdict on F(P, M), branching on the shape of M.
@@ -833,9 +858,8 @@ def irreducibility_report(P: WeylModule, M: GlModule, D: int,
             sub = submodule_closure(F, [{((0,) * n, 0): ONE}], D, A)
             details.append("closure of the constant line has dimension %d"
                            % sub.dim)
-            return Verdict("reducible", sub.dim < full,
-                           {"closure dimensions": sub.dim}, details,
-                           "degree-zero")
+            return _reducible(sub.dim < full, {"closure dimensions": sub.dim},
+                              details, "degree-zero")
         details.append("P is not the natural module; running saturation")
         return _saturation_report(F, D, A, details)
     if r == n:
@@ -868,15 +892,15 @@ def irreducibility_report(P: WeylModule, M: GlModule, D: int,
             details.append("operator t^%s d_%d moves %s outside the image"
                            " subspace" % (a, j, F.label(cell)))
         details.append("image subspace dimension %d of %d" % (lw.dim, full))
-        return Verdict("reducible", moved is None, {"window cells": full},
-                       details, "top-degree")
+        return _reducible(moved is None, {"window cells": full}, details,
+                          "top-degree")
     lw = l_window(P, r, D)
     invariant = interior_invariant(lw, A)
     details.append("image subspace: dimension %d of %d, nonzero=%s,"
                    " proper=%s, interior-invariant=%s"
                    % (lw.dim, full, lw.dim > 0, lw.dim < full, invariant))
-    return Verdict("reducible", lw.dim < full and invariant,
-                   {"image-window rows": lw.dim}, details, "exterior-witness")
+    return _reducible(lw.dim < full and invariant,
+                      {"image-window rows": lw.dim}, details, "exterior-witness")
 
 
 # ---------------------------------------------------------------------------

@@ -318,6 +318,23 @@ def test_torsion_on_an_empty_window_is_not_certified(capsys):
     assert "[certified]" not in capsys.readouterr().out
 
 
+def test_exterior_witness_on_an_empty_window_is_not_certified(capsys):
+    # the lowest cell of Quot(2) has level 2: at D = 1 the image subspace is
+    # not proper in the empty window, and the report must not read
+    # "reducible"
+    argv = ["irreducible", "--P", "Quot", "--M", "Ext(1)", "--window", "1"]
+    rep, code = run(parse_spec(argv))
+    assert code == 1 and not rep.certified
+    assert rep.verdict == "not certified"
+    assert rep.details == [
+        "branch: exterior-witness",
+        "image subspace: dimension 0 of 0, nonzero=False, proper=False,"
+        " interior-invariant=True"]
+    assert main(argv) == 1
+    out = capsys.readouterr().out
+    assert "verdict:   not certified\n" in out and "[certified]" not in out
+
+
 def test_support_on_an_empty_window_is_not_certified(capsys):
     # the lowest cell of Quot(2) has level 2: no weight to report at D = 1
     argv = ["support", "--P", "Quot", "--window", "1"]

@@ -788,6 +788,9 @@ def _parity_case(case):
         # the seed the saturation report names, "generated only 45 of 123"
         F = _module("Alaurent+", "Sym(2)")
         return F, saturation_seeds(F)[:1], 4, 4, [], 45
+    if case == "deep Whittaker":
+        F = _module("Whittaker(l1,l2)", "Sym(2)")
+        return F, saturation_seeds(F)[:1], 5, 6, [], 63
     if case == "pi_map seed":
         P = apoly(2)
         F = FPModule(P, exterior_power(2, 1))
@@ -798,17 +801,25 @@ def _parity_case(case):
     return F, [second], 2, 3, [first], 18
 
 
-@pytest.mark.parametrize("route", ["exact", "point"])
-@pytest.mark.parametrize("case", ["filling TL", "Alaurent+ 45 of 123",
-                                  "pi_map seed", "generators"])
-def test_closure_parity_with_raw_image_queue(case, route):
-    # queueing the inserted rows, a basis of the same span, reaches the
-    # fixed point the raw images reach: the same reduced rows and dim
+def _parity_route(case, route):
+    """`_parity_case` on the exact route, or on the point route's view."""
     F, seeds, D, A, gens, dim = _parity_case(case)
     if route == "point":
         F = wittrep._AtPoint(F)
         seeds, gens = ([{c: at_point(x) for c, x in v.items()} for v in vs]
                        for vs in (seeds, gens))
+    return F, seeds, D, A, gens, dim
+
+
+@pytest.mark.parametrize("route", ["exact", "point"])
+@pytest.mark.parametrize("case", ["filling TL", "Alaurent+ 45 of 123",
+                                  "pi_map seed", "generators",
+                                  "deep Whittaker"])
+def test_closure_parity_with_raw_image_queue(case, route):
+    # queueing the inserted rows, a basis of the same span, from the top
+    # level down reaches the fixed point the raw images reach first in,
+    # first out: the same reduced rows and dim
+    F, seeds, D, A, gens, dim = _parity_route(case, route)
     sub = submodule_closure(F, seeds, D, A, gens)
     ref = _closure_reference(F, seeds, D, A, gens)
     assert sub.dim == ref.dim == dim
@@ -816,11 +827,28 @@ def test_closure_parity_with_raw_image_queue(case, route):
     assert sub.basis() == ref.basis()
 
 
+@pytest.mark.parametrize("route", ["exact", "point"])
+def test_closure_fills_from_the_top_level_down(route, monkeypatch):
+    # the rows of the top level go first: the first saturation seed of
+    # TL(l1,l2) (x) Sym(2) fills its 75 dimensions in 390 act calls (1,150
+    # first in, first out, when most images of low rows grow nothing)
+    F, seeds, D, A, gens, dim = _parity_route("filling TL", route)
+    calls = []
+    act = FPModule.act
+
+    def spy(self, alpha, j, vec):
+        calls.append(1)
+        return act(self, alpha, j, vec)
+    monkeypatch.setattr(FPModule, "act", spy)
+    assert submodule_closure(F, seeds, D, A, gens).dim == dim == 75
+    assert 0 < len(calls) <= 400
+
+
 def test_closure_parity_queues_single_cells(monkeypatch):
-    # the span of a Whittaker window is spanned by single cells, so every
-    # inserted row the point route queues is one: 3,115 cells in 3,115
-    # act calls over the whole report (33,701 cells when the raw images,
-    # dense, were queued)
+    # the point route queues inserted rows, not raw images: 928 cells in
+    # 816 act calls over the whole report, taken from the top of the
+    # window down (3,115 single cells in 3,115 calls first in, first out,
+    # and 33,701 cells when the raw images, dense, were queued)
     calls, cells = [], []
     act = wittrep._AtPoint.act
 
@@ -834,7 +862,7 @@ def test_closure_parity_queues_single_cells(monkeypatch):
     assert rep.certified
     assert rep.details == ["all 9 level-<=1 seeds generate the full"
                            " 63-dimensional window"]
-    assert (len(calls), sum(cells)) == (3115, 3115)
+    assert (len(calls), sum(cells)) == (816, 928)
 
 
 def test_l_window_top_degree():
@@ -1245,6 +1273,24 @@ def test_report_top_degree_branches():
         assert (rep3.verdict, rep3.branch) == ("reducible", "top-degree")
         assert rep3.certified
         assert any("codimension 1" in d for d in rep3.details)
+
+
+def test_report_witness_branches_that_fail_are_not_certified(monkeypatch):
+    # a failed check reads "not certified", never "reducible"
+    # degree-zero: at D = 0 the constant line is the whole window
+    rep = irreducibility_report(apoly(1), exterior_power(1, 0), 0, 1)
+    assert (rep.verdict, rep.branch) == ("not certified", "degree-zero")
+    assert not rep.certified
+    assert rep.details == ["closure of the constant line has dimension 1"]
+    # top-degree: without the deepened image window a raising operator
+    # moves a window cell outside the image subspace
+    windows = wittrep.l_windows
+    monkeypatch.setattr(wittrep, "l_windows", lambda P, r, depths:
+                        itertools.islice(windows(P, r, depths), 1))
+    rep = irreducibility_report(alaurent(2), exterior_power(2, 2), 3, 3)
+    assert (rep.verdict, rep.branch) == ("not certified", "top-degree")
+    assert not rep.certified
+    assert any("outside the image subspace" in d for d in rep.details)
 
 
 _TOP_CODIM_CASES = [
